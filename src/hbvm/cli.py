@@ -43,7 +43,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--solver", choices=["auto", "fixed-point", "blended", "simplified-newton-dense"])
     parser.add_argument("--tol", type=float, help="nonlinear solver tolerance")
     parser.add_argument("--max-iter", type=int, dest="max_iter")
-    parser.add_argument("--preconditioner", choices=["tridiagonal-truncation", "exact-band"])
     parser.add_argument("--stride", type=int, help="state recording stride")
     parser.add_argument("--out", help="output path (prefix for solve, file for the others)")
     parser.add_argument("--config", help="JSON file with flat keys mirroring the flags")

@@ -67,7 +67,6 @@ class RunConfig:
     solver: str = "auto"
     tol: float = 1e-14
     max_iter: int = 100
-    preconditioner: str = "tridiagonal-truncation"
     stride: int = 10
     out: Optional[str] = None
 
@@ -81,8 +80,9 @@ class RunConfig:
         if self.scheme != "fd2" and self.bc != "periodic":
             raise ConfigError(f"scheme {self.scheme!r} requires periodic boundary conditions")
         for name in ("gamma", "kappa", "h", "tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive")
         for name in ("N", "m", "k", "s", "max_iter"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
@@ -95,9 +95,7 @@ class RunConfig:
         return self
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            mode=self.solver, tol=self.tol, max_iter=self.max_iter, preconditioner=self.preconditioner
-        )
+        return SolverConfig(mode=self.solver, tol=self.tol, max_iter=self.max_iter)
 
     def method(self) -> HBVMMethod:
         return HBVMMethod(self.k, self.s)

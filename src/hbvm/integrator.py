@@ -11,14 +11,16 @@ the coefficients satisfy g_j = sum_i b_i P_j(c_i) accel(Q_i), and the step
 closes with p1 = p0 + h g_0 and q1 = q0 + h p0 + h^2 (g_0/2 - xi_1 g_1).
 Non-separable systems use the full-state analogue of the same fixed point.
 
-Three solvers share these equations: plain fixed-point iteration, the
-blended iteration (a cheap approximate inverse of the simplified-Newton
-matrix I + (h/dx)^2 X^2 (x) T built from two preconditioner solves), and a
-dense simplified-Newton oracle for validation.
+Three solvers share these equations and one iteration loop: plain
+fixed-point iteration, the blended iteration (a cheap approximate inverse of
+the simplified-Newton matrix I + (h/dx)^2 X^2 (x) T built from two solves
+with the exact preconditioner I + (h rho)^2 L), and a dense
+simplified-Newton oracle for validation.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,7 +47,6 @@ __all__ = [
 ]
 
 MODES = ("fixed-point", "blended", "simplified-newton-dense")
-PRECONDITIONERS = ("tridiagonal-truncation", "exact-band")
 
 
 class SolverError(RuntimeError):
@@ -109,18 +110,15 @@ class SolverConfig:
     mode: str = "auto"
     tol: float = 1e-14
     max_iter: int = 100
-    preconditioner: str = "tridiagonal-truncation"
     stall_factor: float = 500.0
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("tol must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.mode not in MODES + ("auto",):
             raise ValueError(f"unknown solver mode {self.mode!r}")
-        if self.preconditioner not in PRECONDITIONERS:
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
     def resolve_mode(self, system: SemiDiscreteSystem) -> str:
         if self.mode != "auto":
@@ -195,10 +193,6 @@ def _accept(residual: float, previous: float, iteration: int, cfg: SolverConfig)
     )
 
 
-def _dense_operator(apply_rows: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
-    return apply_rows(np.eye(n)).T
-
-
 def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np.ndarray:
     n = y.size
     jac = np.empty((n, n))
@@ -208,6 +202,45 @@ def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np.nd
         dy[j] = eps[j]
         jac[:, j] = (fn(y + dy) - fn(y - dy)) / (2.0 * eps[j])
     return jac
+
+
+def _lu_correction(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Dense simplified-Newton correction; non-finite values are left to the loop's check."""
+    lu = scipy.linalg.lu_factor(matrix, check_finite=False)
+    return lambda update: scipy.linalg.lu_solve(lu, update.ravel(), check_finite=False).reshape(update.shape)
+
+
+def _iterate(target, correct, shape, y0, cfg: SolverConfig, mode: str):
+    """The stage-coefficient loop that every solver mode runs.
+
+    target(coeffs) is the fixed-point map; correct(update), if given, turns
+    its update into the blended or Newton step (plain fixed point otherwise).
+    """
+    scale = 1.0 + float(np.max(np.abs(y0)))
+    coeffs = np.zeros(shape)
+    residual = np.inf
+    for iteration in range(1, cfg.max_iter + 1):
+        new = target(coeffs)
+        update = new - coeffs
+        if correct is None:
+            coeffs = new
+        else:
+            update = correct(update)
+            coeffs = coeffs + update
+        previous = residual
+        residual = float(np.max(np.abs(update))) / scale
+        if not math.isfinite(residual):
+            raise SolverError(
+                f"{mode} stage solve hit a non-finite residual at iteration {iteration}",
+                StepDiagnostics(iterations=iteration, residual=residual, mode=mode),
+            )
+        if _accept(residual, previous, iteration, cfg):
+            return coeffs, StepDiagnostics(iterations=iteration, residual=residual, mode=mode)
+    raise SolverError(
+        f"{mode} stage solve did not converge in {cfg.max_iter} iterations "
+        f"(residual {residual:.3e}); reduce h or switch solver mode",
+        StepDiagnostics(iterations=cfg.max_iter, residual=residual, mode=mode),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -227,50 +260,31 @@ def _separable_coefficients(system, y0, h, method, cfg, mode):
     t0 = y0[2 * nq] if system.augmented else 0.0
     times = t0 + c * h
     base = q0[None, :] + h * np.outer(c, p0)
-    scale = 1.0 + float(np.max(np.abs(y0)))
 
-    solve_m = None
-    blend = None
-    newton = None
+    def target(coeffs):
+        stages = base + h * h * (stage_weights @ coeffs)
+        return weighted_basis @ sep.accel(stages, times)
+
+    correct = None
     if mode == "blended":
         if sep.make_preconditioner is None:
             raise SolverError("blended mode unsupported: system has no stiffness preconditioner")
-        solve_m = sep.make_preconditioner(h * tab.rho, cfg.preconditioner)
+        solve_m = sep.make_preconditioner(h * tab.rho)
         blend = _blend_matrix(tab.s)
+
+        def correct(update):
+            part = blend @ update
+            return solve_m(part + solve_m(update - part))
+
     elif mode == "simplified-newton-dense":
         if sep.linear_operator is not None:
-            lin = _dense_operator(sep.linear_operator, nq)
+            lin = sep.linear_operator(np.eye(nq)).T
         else:
             lin = -_fd_jacobian(lambda q: sep.accel(q[None, :], np.atleast_1d(times[:1]))[0], q0)
         xs2 = tab.integration_matrix @ tab.integration_matrix
-        newton = scipy.linalg.lu_factor(np.eye(tab.s * nq) + h * h * np.kron(xs2, lin))
+        correct = _lu_correction(np.eye(tab.s * nq) + h * h * np.kron(xs2, lin))
 
-    coeffs = np.zeros((tab.s, nq))
-    residual = np.inf
-    for iteration in range(1, cfg.max_iter + 1):
-        stages = base + h * h * (stage_weights @ coeffs)
-        target = weighted_basis @ sep.accel(stages, times)
-        update = target - coeffs
-        if mode == "fixed-point":
-            coeffs = target
-        elif mode == "blended":
-            part = blend @ update
-            delta = solve_m(part + solve_m(update - part))
-            coeffs = coeffs + delta
-            update = delta
-        else:
-            delta = scipy.linalg.lu_solve(newton, update.ravel()).reshape(tab.s, nq)
-            coeffs = coeffs + delta
-            update = delta
-        previous = residual
-        residual = float(np.max(np.abs(update))) / scale
-        if _accept(residual, previous, iteration, cfg):
-            return coeffs, StepDiagnostics(iterations=iteration, residual=residual, mode=mode)
-    raise SolverError(
-        f"{mode} stage solve did not converge in {cfg.max_iter} iterations "
-        f"(residual {residual:.3e}); reduce h or switch solver mode",
-        StepDiagnostics(iterations=cfg.max_iter, residual=residual, mode=mode),
-    )
+    return _iterate(target, correct, (tab.s, nq), y0, cfg, mode)
 
 
 def _separable_step(system, y0, h, method, cfg, mode):
@@ -310,68 +324,52 @@ def _generic_coefficients(system, y0, h, method, cfg, mode):
     tab = method.tables
     weighted_basis = (tab.node_values * tab.weights[:, None]).T
     ints = tab.node_integrals
-    scale = 1.0 + float(np.max(np.abs(y0)))
 
-    newton = None
-    if mode == "simplified-newton-dense":
-        jac = _fd_jacobian(system.rhs, y0)
-        newton = scipy.linalg.lu_factor(
-            np.eye(tab.s * dim) - h * np.kron(tab.integration_matrix, jac)
-        )
-
-    coeffs = np.zeros((tab.s, dim))
-    residual = np.inf
-    for iteration in range(1, cfg.max_iter + 1):
+    def target(coeffs):
         stages = y0[None, :] + h * (ints @ coeffs)
         rhs_rows = np.empty((tab.k, dim))
         for i in range(tab.k):
             rhs_rows[i] = system.rhs(stages[i])
-        target = weighted_basis @ rhs_rows
-        update = target - coeffs
-        if mode == "fixed-point":
-            coeffs = target
-        else:
-            delta = scipy.linalg.lu_solve(newton, update.ravel()).reshape(tab.s, dim)
-            coeffs = coeffs + delta
-            update = delta
-        previous = residual
-        residual = float(np.max(np.abs(update))) / scale
-        if _accept(residual, previous, iteration, cfg):
-            return coeffs, StepDiagnostics(iterations=iteration, residual=residual, mode=mode)
-    raise SolverError(
-        f"{mode} stage solve did not converge in {cfg.max_iter} iterations "
-        f"(residual {residual:.3e}); reduce h or switch solver mode",
-        StepDiagnostics(iterations=cfg.max_iter, residual=residual, mode=mode),
-    )
+        return weighted_basis @ rhs_rows
 
-
-def _generic_step(system, y0, h, method, cfg, mode):
-    coeffs, diag = _generic_coefficients(system, y0, h, method, cfg, mode)
-    return y0 + h * coeffs[0], diag
+    correct = None
+    if mode == "simplified-newton-dense":
+        jac = _fd_jacobian(system.rhs, y0)
+        correct = _lu_correction(np.eye(tab.s * dim) - h * np.kron(tab.integration_matrix, jac))
+    return _iterate(target, correct, (tab.s, dim), y0, cfg, mode)
 
 
 # ---------------------------------------------------------------------------
 # public API
 # ---------------------------------------------------------------------------
 
-def step(system: SemiDiscreteSystem, y0, h: float, method: HBVMMethod, cfg: SolverConfig = SolverConfig()):
-    """One HBVM(k,s) step from y0 with stepsize h -> (y1, StepDiagnostics)."""
+def _checked_inputs(system: SemiDiscreteSystem, y0, h: float) -> np.ndarray:
+    """y0 as a float array; rejects a malformed or non-finite state or stepsize."""
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (system.dim,):
         raise ValueError(f"expected state of length {system.dim}, got {y0.shape}")
-    if h <= 0.0:
-        raise ValueError("stepsize must be positive")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"stepsize must be finite and positive, got {h}")
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("state contains non-finite values")
+    return y0
+
+
+def step(system: SemiDiscreteSystem, y0, h: float, method: HBVMMethod, cfg: SolverConfig = SolverConfig()):
+    """One HBVM(k,s) step from y0 with stepsize h -> (y1, StepDiagnostics)."""
+    y0 = _checked_inputs(system, y0, h)
     mode = cfg.resolve_mode(system)
     if system.separable is not None:
         return _separable_step(system, y0, h, method, cfg, mode)
     if mode == "blended":
         raise SolverError("blended mode unsupported: system is not separable")
-    return _generic_step(system, y0, h, method, cfg, mode)
+    coeffs, diag = _generic_coefficients(system, y0, h, method, cfg, mode)
+    return y0 + h * coeffs[0], diag
 
 
 def solve_coefficients_fixed_point(system, y0, h, method, cfg=SolverConfig()):
     """Stage derivative coefficients (s blocks) by plain fixed-point iteration."""
-    y0 = np.asarray(y0, dtype=float)
+    y0 = _checked_inputs(system, y0, h)
     if system.separable is not None:
         return _separable_coefficients(system, y0, h, method, cfg, "fixed-point")[0]
     return _generic_coefficients(system, y0, h, method, cfg, "fixed-point")[0]
@@ -379,7 +377,7 @@ def solve_coefficients_fixed_point(system, y0, h, method, cfg=SolverConfig()):
 
 def solve_coefficients_blended(system, y0, h, method, cfg=SolverConfig()):
     """Stage derivative coefficients by the blended iteration (separable only)."""
-    y0 = np.asarray(y0, dtype=float)
+    y0 = _checked_inputs(system, y0, h)
     if system.separable is None:
         raise SolverError("blended mode unsupported: system is not separable")
     return _separable_coefficients(system, y0, h, method, cfg, "blended")[0]
@@ -408,7 +406,7 @@ def integrate(
     ``observer(step_index, t, y)`` is invoked at every step including step 0.
     Raises StepFailure (with the failing step index) on solver breakdown.
     """
-    y0 = np.asarray(y0, dtype=float)
+    y0 = _checked_inputs(system, y0, h)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     mode = cfg.resolve_mode(system)

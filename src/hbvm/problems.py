@@ -264,7 +264,7 @@ def _oscillator(hamiltonian, gradient, accel, linear=None):
         def linear_rows(stages):
             return linear * stages
 
-        def make_preconditioner(h_rho, mode):
+        def make_preconditioner(h_rho):
             w = 1.0 + h_rho * h_rho * linear
             return lambda rows: rows / w
 

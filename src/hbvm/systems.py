@@ -56,16 +56,16 @@ class SeparableForm:
     """Second-order structure qdot = p, pdot = accel(q, t) used by fast solvers.
 
     accel maps stage blocks (rows of shape (nq,)) and their times to the
-    corresponding pdot rows.  make_preconditioner(h_rho, mode) returns a
+    corresponding pdot rows.  make_preconditioner(h_rho) returns an exact
     row-wise solver for I + (h_rho)^2 * L with L the stiffness linear part
-    (``None`` when the system has no stiff linear part; the identity is used).
+    (``None`` when the system has no stiff linear part).
     linear_operator applies L to stage rows, for the dense simplified-Newton
     path.  aug_rate gives ptdot at the stages of augmented systems.
     """
 
     nq: int
     accel: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    make_preconditioner: Optional[Callable[[float, str], Callable[[np.ndarray], np.ndarray]]] = None
+    make_preconditioner: Optional[Callable[[float], Callable[[np.ndarray], np.ndarray]]] = None
     linear_operator: Optional[Callable[[np.ndarray], np.ndarray]] = None
     aug_rate: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 

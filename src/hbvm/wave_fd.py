@@ -78,9 +78,9 @@ class StencilOperator:
         return kernels.tridiag_diff_apply_batch(stages, self.corner)
 
     def diagonal(self) -> np.ndarray:
-        """Main diagonal of T."""
+        """Main diagonal of a tridiagonal T."""
         if self.bc == "periodic":
-            return np.full(self.n, 2.0 * float(np.sum(self.weights)))
+            raise ValueError("diagonal is defined for tridiagonal operators only")
         diag = np.full(self.n, 2.0)
         diag[0] = diag[-1] = 1.0 + self.corner
         return diag
@@ -139,16 +139,20 @@ class BoundaryData:
 
 
 def _stiffness_hooks(op: StencilOperator, dx: float):
-    """linear_operator and make_preconditioner closures for a stencil T/dx^2."""
+    """linear_operator and make_preconditioner closures for a stencil T/dx^2.
+
+    The preconditioner solves I + (h_rho/dx)^2 T exactly: by FFT for circulant
+    T, by a tridiagonal solve otherwise.
+    """
 
     def linear_operator(stages: np.ndarray) -> np.ndarray:
         return op.apply_batch(stages) / dx**2
 
-    def make_preconditioner(h_rho: float, mode: str):
-        a = (h_rho / dx) ** 2
-        if op.bc == "periodic" and mode == "exact-band":
-            # Exact circulant solve in Fourier space.
-            m = 1.0 + a * op.symbol()[: op.n // 2 + 1]
+    if op.bc == "periodic":
+        symbol = op.symbol()[: op.n // 2 + 1]
+
+        def make_preconditioner(h_rho: float):
+            m = 1.0 + (h_rho / dx) ** 2 * symbol
 
             def solve(rows: np.ndarray) -> np.ndarray:
                 spec = np.fft.rfft(rows, axis=1)
@@ -156,11 +160,14 @@ def _stiffness_hooks(op: StencilOperator, dx: float):
                 return np.fft.irfft(spec, n=op.n, axis=1)
 
             return solve
-        # Tridiagonal truncation of I + a T: drop the wrap-around corners and
-        # the outer bands of high-order stencils.
-        diag = 1.0 + a * op.diagonal()
-        off = a * op.offdiagonal()
-        return lambda rows: kernels.tridiag_solve_batch(diag, off, rows)
+
+    else:
+
+        def make_preconditioner(h_rho: float):
+            a = (h_rho / dx) ** 2
+            diag = 1.0 + a * op.diagonal()
+            off = a * op.offdiagonal()
+            return lambda rows: kernels.tridiag_solve_batch(diag, off, rows)
 
     return linear_operator, make_preconditioner
 

@@ -157,7 +157,7 @@ def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wa
     def linear_operator(stages):
         return stages * diag[None, :]
 
-    def make_preconditioner(h_rho: float, mode: str):
+    def make_preconditioner(h_rho: float):
         weights = 1.0 + h_rho * h_rho * diag
         return lambda rows: rows / weights[None, :]
 

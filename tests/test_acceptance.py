@@ -238,6 +238,7 @@ def test_criterion_10_solver_equivalence():
     details = []
     cases = {
         "periodic": problems.sine_gordon_system(gamma=GAMMA, bc="periodic", scheme="fd2", N=200),
+        "periodic-fd6": problems.sine_gordon_system(gamma=GAMMA, bc="periodic", scheme="fd6", N=200),
         "dirichlet": problems.sine_gordon_system(gamma=GAMMA, bc="dirichlet", scheme="fd2", N=200),
         "neumann": problems.sine_gordon_system(gamma=GAMMA, bc="neumann", scheme="fd2", N=200),
         "fourier": problems.sine_gordon_system(gamma=GAMMA, scheme="fourier", N=100, m=200),

@@ -23,8 +23,11 @@ class TestRunConfig:
             RunConfig(problem="heat").validate()
         with pytest.raises(ConfigError):
             RunConfig(scheme="fd4", bc="dirichlet").validate()
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                RunConfig(h=bad).validate()
         with pytest.raises(ConfigError):
-            RunConfig(h=-0.1).validate()
+            RunConfig(tol=float("nan")).validate()
         with pytest.raises(ConfigError):
             RunConfig(k=1, s=2).validate()
 
@@ -204,6 +207,7 @@ class TestCLI:
     def test_bad_config_exit_code(self, capsys):
         assert main(["solve", "--problem", "sine-gordon", "--scheme", "fd4", "--bc", "neumann"]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert main(["solve", "--problem", "nls", "-N", "16", "--h", "nan", "--steps", "2"]) == 2
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.json"

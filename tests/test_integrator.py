@@ -40,6 +40,8 @@ class TestStepBasics:
             step(system, np.zeros(3), 0.1, HBVMMethod(2, 1))
         with pytest.raises(ValueError):
             HBVMMethod(1, 2)
+        with pytest.raises(ValueError):
+            SolverConfig(tol=float("nan"))
 
     def test_quartic_oscillator_polynomial_conservation(self):
         # degree-4 energy with 2k/s = 4: conserved to roundoff
@@ -122,7 +124,7 @@ class TestCoefficientSolvers:
         rng = np.random.default_rng(7)
         y0 = 0.5 * rng.standard_normal(2 * n)
         sep = system.separable
-        solve_m = sep.make_preconditioner(h * tab.rho, "exact-band")
+        solve_m = sep.make_preconditioner(h * tab.rho)
         blend = _blend_matrix(tab.s)
         weighted = (tab.node_values * tab.weights[:, None]).T
         stage_w = tab.node_integrals @ tab.integration_matrix
@@ -171,6 +173,61 @@ class TestCoefficientSolvers:
             integrate(system, y0, 0.4, 5, HBVMMethod(5, 1), cfg)
         assert fail.value.step_index == 1
         assert fail.value.partial is not None
+
+
+def _counting(system):
+    """Copy of system that counts evaluations of its right-hand side."""
+    calls = []
+    changes = {"gradient": lambda y: calls.append(1) or system.gradient(y)}
+    if system.separable is not None:
+        accel = system.separable.accel
+        changes["separable"] = replace(system.separable, accel=lambda q, t: calls.append(1) or accel(q, t))
+    return replace(system, **changes), calls
+
+
+_FAIL_FAST_SYSTEMS = {
+    "fd6": lambda: problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd6", N=40),
+    "fourier": lambda: problems.sine_gordon_system(gamma=1.0, scheme="fourier", N=8, m=16),
+    "nls": lambda: problems.nls_system(N=16),
+}
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("name", sorted(_FAIL_FAST_SYSTEMS))
+    @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -0.1, None])
+    def test_invalid_step_input_rejected_before_iterating(self, name, h):
+        # h=None stands for a valid stepsize with a NaN entry in the state
+        system, y0 = _FAIL_FAST_SYSTEMS[name]()
+        system, calls = _counting(system)
+        if h is None:
+            h, y0 = 0.01, y0.copy()
+            y0[3] = np.nan
+        with pytest.raises(ValueError):
+            step(system, y0, h, HBVMMethod(3, 1))
+        with pytest.raises(ValueError):
+            integrate(system, y0, h, 2, HBVMMethod(3, 1))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "name,mode",
+        [
+            ("fd6", "fixed-point"),
+            ("fd6", "blended"),
+            ("fd6", "simplified-newton-dense"),
+            ("nls", "fixed-point"),
+            ("nls", "simplified-newton-dense"),
+        ],
+    )
+    def test_non_finite_rhs_stops_the_solve(self, name, mode):
+        system, y0 = _FAIL_FAST_SYSTEMS[name]()
+        if system.separable is not None:
+            nan_accel = lambda q, t: np.full_like(q, np.nan)
+            system = replace(system, separable=replace(system.separable, accel=nan_accel))
+        else:
+            system = replace(system, gradient=lambda y: np.full_like(y, np.nan))
+        with pytest.raises(SolverError, match=f"{mode} .*non-finite residual at iteration 1") as err:
+            step(system, y0, 0.01, HBVMMethod(3, 1), SolverConfig(mode=mode))
+        assert err.value.diagnostics.iterations <= 2
 
 
 class TestRKEquivalence:

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -60,54 +56,3 @@ def test_tridiag_solve_roundtrip(rng):
     back[:, :-1] += off * sol[:, 1:]
     back[:, 1:] += off * sol[:, :-1]
     np.testing.assert_allclose(back, rhs, atol=1e-12)
-
-
-_SMOKE = """
-import numpy as np
-from hbvm import kernels, problems
-from hbvm.integrator import HBVMMethod, SolverConfig, integrate
-assert kernels.BACKEND == "numpy"
-system, y0 = problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd2", N=60)
-rec = integrate(system, y0, 0.1, 40, HBVMMethod(5, 1), SolverConfig(), record_stride=0)
-print(repr(float(np.max(np.abs(rec.drift)))), repr(float(rec.final_state[10])))
-"""
-
-
-def test_pure_numpy_backend_selected_by_env_flag():
-    # fresh interpreter with the fallback flag: same physics, numpy kernels
-    env = dict(os.environ, HBVM_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", _SMOKE], capture_output=True, text=True, env=env, check=True
-    ).stdout.split()
-    drift, probe = float(out[0]), float(out[1])
-    assert drift <= 1e-12
-    # cross-backend agreement on the final state sample
-    from hbvm import problems
-    from hbvm.integrator import HBVMMethod, SolverConfig, integrate
-
-    system, y0 = problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd2", N=60)
-    rec = integrate(system, y0, 0.1, 40, HBVMMethod(5, 1), SolverConfig(), record_stride=0)
-    assert probe == pytest.approx(float(rec.final_state[10]), abs=1e-12)
-
-
-@pytest.mark.skipif(kernels.BACKEND != "numba", reason="numba backend not active")
-def test_backends_agree(rng):
-    ref = kernels.numpy_impl()
-    n = 31
-    q = rng.standard_normal(n)
-    stages = rng.standard_normal((5, n))
-    for order, w in WEIGHTS.items():
-        np.testing.assert_allclose(kernels.circulant_apply(w, q), ref["circulant_apply"](w, q), atol=1e-14)
-        np.testing.assert_allclose(
-            kernels.circulant_apply_batch(w, stages), ref["circulant_apply_batch"](w, stages), atol=1e-14
-        )
-    for corner in (0.0, 1.0):
-        np.testing.assert_allclose(
-            kernels.tridiag_diff_apply(q, corner), ref["tridiag_diff_apply"](q, corner), atol=1e-14
-        )
-    diag = 3.0 + rng.random(n)
-    np.testing.assert_allclose(
-        kernels.tridiag_solve_batch(diag, -1.0, stages),
-        ref["tridiag_solve_batch"](diag, -1.0, stages),
-        atol=1e-12,
-    )

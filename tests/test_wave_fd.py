@@ -115,6 +115,18 @@ class TestStencilOperator:
         dense = np.column_stack([op.apply(col) for col in np.eye(16)])
         eig = np.sort(np.linalg.eigvalsh(dense))
         np.testing.assert_allclose(np.sort(op.symbol()), eig, atol=1e-12)
+        with pytest.raises(ValueError):
+            op.diagonal()
+
+    @pytest.mark.parametrize("bc,scheme", [("periodic", "fd2"), ("periodic", "fd6"), ("dirichlet", "fd2"), ("neumann", "fd2")])
+    def test_preconditioner_is_exact(self, bc, scheme, rng):
+        # make_preconditioner(h_rho) inverts I + h_rho^2 T/dx^2, wide stencils included
+        system, _ = problems.sine_gordon_system(gamma=1.0, bc=bc, scheme=scheme, N=24)
+        sep = system.separable
+        h_rho = 2.0 * system.descriptor["dx"]
+        matrix = np.eye(sep.nq) + h_rho**2 * sep.linear_operator(np.eye(sep.nq))
+        rows = rng.standard_normal((3, sep.nq))
+        np.testing.assert_allclose(sep.make_preconditioner(h_rho)(rows) @ matrix, rows, atol=1e-12)
 
 
 class TestBuildPeriodic:
@@ -161,18 +173,15 @@ class TestBuildPeriodic:
 
 class TestHighOrderStencilRuns:
     @pytest.mark.parametrize("scheme", ["fd4", "fd6"])
-    @pytest.mark.parametrize("pre", ["tridiagonal-truncation", "exact-band"])
-    def test_energy_conserving_run(self, scheme, pre):
-        # the truncated preconditioner drops the outer bands of high-order
-        # stencils yet still converges; conservation is unaffected
+    def test_energy_conserving_run(self, scheme):
+        # the exact circulant preconditioner keeps the blended iteration fast
+        # for wide stencils (max 7 iterations per step here)
         from hbvm.integrator import HBVMMethod, SolverConfig, integrate
 
         system, y0 = problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme=scheme, N=200)
-        rec = integrate(
-            system, y0, 0.1, 100, HBVMMethod(5, 1), SolverConfig(preconditioner=pre), record_stride=0
-        )
+        rec = integrate(system, y0, 0.1, 100, HBVMMethod(5, 1), SolverConfig(), record_stride=0)
         assert np.max(np.abs(rec.drift)) <= 1e-12
-        assert rec.iterations.max() <= 20
+        assert rec.iterations.max() <= 10
 
     def test_spatial_accuracy_ordering(self):
         # at a fixed fine stepsize the stencil order dictates the error
