@@ -3,17 +3,19 @@
 The order-4 scheme is the triple jump, the order-6 scheme the standard
 nine-stage symmetric composition; both are palindromic with coefficients
 summing to one, so each composed step is a sequence of plain Stormer-Verlet
-substeps with scaled stepsizes.
+substeps with scaled stepsizes, run by one leapfrog loop.  Trajectories go
+through the HBVM driver, integrator.drive: the same energy bookkeeping, the
+same rejection of bad input before any force evaluation, and StepFailure
+with the partial record when a run diverges.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import StepFailure, TrajectoryRecord
+from .integrator import SolverError, StepDiagnostics, TrajectoryRecord, drive
 from .systems import SemiDiscreteSystem
 
 __all__ = [
@@ -25,6 +27,9 @@ __all__ = [
 ]
 
 _CUBE2 = 2.0 ** (1.0 / 3.0)
+
+# Max-norm beyond which an explicit trajectory counts as diverged.
+DIVERGENCE_NORM = 1e8
 
 # Nine-stage symmetric order-6 composition (coefficients sum to 1 exactly).
 _ORDER6 = np.array(
@@ -69,28 +74,33 @@ def _require_separable(system: SemiDiscreteSystem):
     return system.separable
 
 
-def stormer_verlet_step(system: SemiDiscreteSystem, y0, h: float, t: float = 0.0):
-    """One kick-drift-kick leapfrog step (second order, symmetric, explicit)."""
-    sep = _require_separable(system)
-    nq = sep.nq
-    y0 = np.asarray(y0, dtype=float)
-    q, p = y0[:nq], y0[nq:]
-    a0 = sep.accel(q[None, :], np.array([t]))[0]
-    p_half = p + 0.5 * h * a0
-    q1 = q + h * p_half
-    a1 = sep.accel(q1[None, :], np.array([t + h]))[0]
-    p1 = p_half + 0.5 * h * a1
-    return np.concatenate([q1, p1])
+def _leapfrog(accel, y, nq, force, t, substeps):
+    """Kick-drift-kick substeps of the given sizes from y at time t -> (y1, force, t1).
+
+    force = accel(q, t) on entry; the force closing one substep opens the
+    next, so each substep costs one evaluation.
+    """
+    q, p = y[:nq].copy(), y[nq:].copy()
+    for dt in substeps:
+        p += 0.5 * dt * force
+        q += dt * p
+        t += dt
+        force = accel(q[None, :], np.array([t]))[0]
+        p += 0.5 * dt * force
+    return np.concatenate([q, p]), force, t
 
 
 def composition_step(system: SemiDiscreteSystem, y0, h: float, scheme: CompositionScheme, t: float = 0.0):
     """One composed step: Stormer-Verlet substeps with scaled stepsizes."""
-    y = np.asarray(y0, dtype=float)
-    ti = t
-    for g in scheme.coefficients:
-        y = stormer_verlet_step(system, y, g * h, ti)
-        ti += g * h
-    return y
+    sep = _require_separable(system)
+    y0 = np.asarray(y0, dtype=float)
+    force = sep.accel(y0[None, : sep.nq], np.array([t]))[0]
+    return _leapfrog(sep.accel, y0, sep.nq, force, t, scheme.coefficients * h)[0]
+
+
+def stormer_verlet_step(system: SemiDiscreteSystem, y0, h: float, t: float = 0.0):
+    """One kick-drift-kick leapfrog step (second order, symmetric, explicit)."""
+    return composition_step(system, y0, h, composition_scheme(2), t)
 
 
 def integrate_explicit(
@@ -101,59 +111,22 @@ def integrate_explicit(
     scheme: CompositionScheme,
     record_stride: int = 1,
     observer=None,
-    divergence_norm: float = 1e8,
 ) -> TrajectoryRecord:
-    """Composition-method trajectory with the same bookkeeping as integrate().
-
-    Within one composed step the force at a substep boundary is reused as the
-    opening kick of the next substep, so each substep costs one force
-    evaluation.  Blow-up beyond ``divergence_norm`` raises StepFailure.
-    """
+    """Composition-method trajectory through integrator.drive; the force closing
+    one step opens the next.  A state beyond DIVERGENCE_NORM diverges."""
     sep = _require_separable(system)
     nq = sep.nq
-    y0 = np.asarray(y0, dtype=float)
-
-    times = h * np.arange(n_steps + 1)
-    hams = np.empty(n_steps + 1)
-    kept_states = [y0.copy()]
-    kept_times = [0.0]
-
-    q = y0[:nq].copy()
-    p = y0[nq:].copy()
-    hams[0] = system.hamiltonian(y0)
-    if observer is not None:
-        observer(0, 0.0, y0)
-
     substeps = scheme.coefficients * h
-    force = sep.accel(q[None, :], np.zeros(1))[0]
-    t = 0.0
-    start = time.perf_counter()
-    for n in range(1, n_steps + 1):
-        for dt in substeps:
-            p += 0.5 * dt * force
-            q += dt * p
-            t += dt
-            force = sep.accel(q[None, :], np.array([t]))[0]
-            p += 0.5 * dt * force
-        y = np.concatenate([q, p])
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > divergence_norm:
-            raise StepFailure(f"step {n}: explicit method diverged", n)
-        hams[n] = system.hamiltonian(y)
-        if observer is not None:
-            observer(n, times[n], y)
-        if (record_stride and n % record_stride == 0) or n == n_steps:
-            kept_states.append(y.copy())
-            kept_times.append(times[n])
-    wall = time.perf_counter() - start
+    diagnostics = StepDiagnostics(iterations=substeps.size, residual=0.0, mode=f"sv{scheme.order}")
+    force, t = None, 0.0
 
-    return TrajectoryRecord(
-        times=times,
-        states=np.array(kept_states),
-        record_times=np.array(kept_times),
-        hamiltonian=hams,
-        physical_hamiltonian=None,
-        iterations=np.full(n_steps, scheme.coefficients.size, dtype=int),
-        residuals=np.zeros(n_steps),
-        mode=f"sv{scheme.order}",
-        wall_time=wall,
-    )
+    def advance(y):
+        nonlocal force, t
+        if force is None:
+            force = sep.accel(y[None, :nq], np.zeros(1))[0]
+        y, force, t = _leapfrog(sep.accel, y, nq, force, t, substeps)
+        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > DIVERGENCE_NORM:
+            raise SolverError("explicit method diverged")
+        return y, diagnostics
+
+    return drive(system, y0, h, n_steps, advance, diagnostics.mode, record_stride, observer)

@@ -115,6 +115,17 @@ def parse_method(text: str):
     raise ConfigError(f"unknown method {text!r}; use hbvm(k,s) or sv2/sv4/sv6")
 
 
+def _sampler(system):
+    """(values, grid): values(y) samples u from a state vector on grid
+    (reconstructed on the quadrature points for spectral runs)."""
+    if system.descriptor.get("scheme") == "fourier":
+        spec = system.descriptor["spectral"]
+        quad, dim = spec.quad_matrix, spec.basis.dim
+        return (lambda y: quad @ y[:dim]), spec.basis.points(spec.m)
+    n = system.skew.n
+    return (lambda y: y[:n]), system.descriptor["x"]
+
+
 def build_run(config: RunConfig):
     """(system, y0, sample) for a config; sample(t) is the analytic solution
     on the comparison grid when available (None otherwise)."""
@@ -124,10 +135,7 @@ def build_run(config: RunConfig):
             gamma=config.gamma, bc=config.bc, scheme=config.scheme, N=config.N, m=config.m
         )
         if config.bc == "periodic":
-            if config.scheme == "fourier":
-                grid = system.descriptor["spectral"].basis.points(config.m)
-            else:
-                grid = system.descriptor["x"]
+            grid = _sampler(system)[1]
             sample = lambda t: problems.sine_gordon_exact(config.gamma, grid, t)
         else:
             sample = None
@@ -143,13 +151,17 @@ def build_run(config: RunConfig):
     return system, y0, None
 
 
-def _solution_values(system, state):
-    """Grid samples of u from a state vector (reconstructed for spectral runs)."""
-    if system.descriptor.get("scheme") == "fourier":
-        spec = system.descriptor["spectral"]
-        return spec.quad_matrix @ state[: spec.basis.dim], spec.basis.points(spec.m)
-    n = system.skew.n
-    return state[:n], system.descriptor["x"]
+class _MaxError:
+    """Observer keeping the max over steps and grid nodes of |u_num - u_exact|."""
+
+    def __init__(self, values, sample):
+        self.values, self.sample = values, sample
+        self.worst = 0.0
+
+    def __call__(self, n, t, y):
+        err = float(np.max(np.abs(self.values(y) - self.sample(t))))
+        if err > self.worst:
+            self.worst = err
 
 
 def _fmt(value) -> str:
@@ -164,22 +176,25 @@ def write_csv(path: str, header, rows) -> None:
             writer.writerow(["" if v is None else (v if isinstance(v, str) else _fmt(v)) for v in row])
 
 
+def _energy_columns(record: TrajectoryRecord):
+    """(H, H drift, H_tilde, H_tilde drift) series; H is the plain energy and
+    the H_tilde pair (augmented energy) is None for non-augmented systems."""
+    if record.physical_hamiltonian is None:
+        return record.hamiltonian, record.drift, None, None
+    return record.physical_hamiltonian, record.physical_drift, record.hamiltonian, record.drift
+
+
 def drift_rows(system, record: TrajectoryRecord):
     """Per-step report rows (step, time, H, H_tilde, drifts, iterations, residual)."""
-    augmented = record.physical_hamiltonian is not None
+    ham, ham_drift, aug, aug_drift = _energy_columns(record)
     rows = []
     for n, t in enumerate(record.times):
-        ham = record.physical_hamiltonian[n] if augmented else record.hamiltonian[n]
-        ham_drift = (
-            record.physical_hamiltonian[n] - record.physical_hamiltonian[0]
-            if augmented
-            else record.drift[n]
-        )
-        aug = record.hamiltonian[n] if augmented else None
-        aug_drift = record.drift[n] if augmented else None
         iters = int(record.iterations[n - 1]) if n > 0 else 0
         res = record.residuals[n - 1] if n > 0 else 0.0
-        rows.append((str(n), t, ham, aug, ham_drift, aug_drift, str(iters), res))
+        rows.append((
+            str(n), t, ham[n], None if aug is None else aug[n],
+            ham_drift[n], None if aug is None else aug_drift[n], str(iters), res,
+        ))
     return rows
 
 
@@ -208,12 +223,10 @@ def run_solve(config: RunConfig):
         raise
     if config.out:
         write_csv(config.out + "_drift.csv", DRIFT_HEADER, drift_rows(system, record))
-        values = [_solution_values(system, state) for state in record.states]
-        grid = values[0][1]
+        values, grid = _sampler(system)
+        columns = [values(state) for state in record.states]
         header = ["x"] + [f"t={t:.9e}" for t in record.record_times]
-        rows = []
-        for i in range(grid.size):
-            rows.append([grid[i]] + [v[0][i] for v in values])
+        rows = [[grid[i]] + [column[i] for column in columns] for i in range(grid.size)]
         write_csv(config.out + "_solution.csv", header, rows)
         summary = {
             "config": asdict(config),
@@ -231,6 +244,13 @@ def run_solve(config: RunConfig):
     return record
 
 
+def _trajectory(system, y0, h, n_steps, kind, method, config: RunConfig, observer=None) -> TrajectoryRecord:
+    """Endpoint-only trajectory of a parse_method() result."""
+    if kind == "hbvm":
+        return integrate(system, y0, h, n_steps, method, config.solver_config(), record_stride=0, observer=observer)
+    return integrate_explicit(system, y0, h, n_steps, method, record_stride=0, observer=observer)
+
+
 DRIFT_STUDY_HEADER = ["method", "time", "H_drift", "H_tilde_drift"]
 
 
@@ -240,24 +260,24 @@ def run_drift(config: RunConfig, methods):
     rows = []
     for text in methods:
         kind, method = parse_method(text)
-        if kind == "hbvm":
-            record = integrate(
-                system, y0, config.h, config.steps, method, config.solver_config(), record_stride=0
-            )
-        else:
-            if system.augmented:
-                raise ConfigError("explicit baselines do not support boundary-forced (augmented) systems")
-            record = integrate_explicit(system, y0, config.h, config.steps, method, record_stride=0)
-        augmented = record.physical_hamiltonian is not None
+        if kind != "hbvm" and system.augmented:
+            raise ConfigError("explicit baselines do not support boundary-forced (augmented) systems")
+        record = _trajectory(system, y0, config.h, config.steps, kind, method, config)
+        _, ham_drift, _, aug_drift = _energy_columns(record)
         for n, t in enumerate(record.times):
-            ham_drift = (
-                record.physical_hamiltonian[n] - record.physical_hamiltonian[0] if augmented else record.drift[n]
-            )
-            aug_drift = record.drift[n] if augmented else None
-            rows.append((text.strip().lower(), t, ham_drift, aug_drift))
+            rows.append((text.strip().lower(), t, ham_drift[n], None if aug_drift is None else aug_drift[n]))
     if config.out:
         write_csv(config.out, DRIFT_STUDY_HEADER, rows)
     return rows
+
+
+def _check_study(config: RunConfig, final_time: float, study: str) -> None:
+    """Rejects a non-finite or non-positive final_time and a config without an analytic reference."""
+    if not (math.isfinite(final_time) and final_time > 0):
+        raise ConfigError("final_time must be finite and positive")
+    config.validate()
+    if config.problem != "sine-gordon" or config.bc != "periodic":
+        raise ConfigError(f"{study} requires the periodic sine-gordon problem (analytic reference)")
 
 
 CONVERGENCE_HEADER = ["level", "max_error", "rate"]
@@ -270,9 +290,7 @@ def run_convergence(config: RunConfig, levels, final_time: float = 40.0):
     keep (N, m) fixed.  The error is the maximum over every recorded step and
     grid node of |u_num - u_exact|.
     """
-    config.validate()
-    if config.problem != "sine-gordon" or config.bc != "periodic":
-        raise ConfigError("convergence study requires the periodic sine-gordon problem (analytic reference)")
+    _check_study(config, final_time, "convergence study")
     levels = [int(v) for v in levels]
     if any(v < 1 for v in levels):
         raise ConfigError("levels must be positive integers")
@@ -280,30 +298,10 @@ def run_convergence(config: RunConfig, levels, final_time: float = 40.0):
     for level in levels:
         cell = replace(config, N=level, out=None) if config.scheme != "fourier" else replace(config, out=None)
         system, y0, sample = build_run(cell)
-        worst = 0.0
-
-        nq = system.skew.n
-        if cell.scheme == "fourier":
-            spec = system.descriptor["spectral"]
-            quad, dim = spec.quad_matrix, spec.basis.dim
-
-            def values(y):
-                return quad @ y[:dim]
-
-        else:
-
-            def values(y):
-                return y[:nq]
-
-        def observer(n, t, y):
-            nonlocal worst
-            err = float(np.max(np.abs(values(y) - sample(t))))
-            if err > worst:
-                worst = err
-
+        observer = _MaxError(_sampler(system)[0], sample)
         h = final_time / level
         integrate(system, y0, h, level, cell.method(), cell.solver_config(), record_stride=0, observer=observer)
-        errors.append(worst)
+        errors.append(observer.worst)
     rows = []
     for i, (level, err) in enumerate(zip(levels, errors)):
         rate = math.log2(errors[i - 1] / err) / math.log2(levels[i] / levels[i - 1]) if i else None
@@ -325,9 +323,7 @@ def run_work_precision(config: RunConfig, methods=None, final_time: float = 100.
     ``grid`` maps method names to (h_max, h_min, points) and replaces the
     default sweep wholesale.
     """
-    config.validate()
-    if config.problem != "sine-gordon" or config.bc != "periodic":
-        raise ConfigError("work-precision study requires the periodic sine-gordon problem (analytic reference)")
+    _check_study(config, final_time, "work-precision study")
     grid = dict(WPD_DEFAULT_GRID) if grid is None else dict(grid)
     if methods is not None:
         wanted = [m.strip().lower() for m in methods]
@@ -336,40 +332,16 @@ def run_work_precision(config: RunConfig, methods=None, final_time: float = 100.
             raise ConfigError(f"no stepsize grid for methods {unknown}; known: {sorted(grid)}")
         grid = {m: grid[m] for m in wanted}
     system, y0, sample = build_run(replace(config, out=None))
+    values = _sampler(system)[0]
     rows = []
     for name, (h_max, h_min, points) in grid.items():
         kind, method = parse_method(name)
         for h_target in np.geomspace(h_max, h_min, points):
             n_steps = max(1, round(final_time / h_target))
             h = final_time / n_steps
-            worst = 0.0
-
-            nq = system.skew.n
-            if config.scheme == "fourier":
-                spec = system.descriptor["spectral"]
-                quad, dim = spec.quad_matrix, spec.basis.dim
-
-                def values(y):
-                    return quad @ y[:dim]
-
-            else:
-
-                def values(y):
-                    return y[:nq]
-
-            def observer(n, t, y):
-                nonlocal worst
-                err = float(np.max(np.abs(values(y) - sample(t))))
-                if err > worst:
-                    worst = err
-
+            observer = _MaxError(values, sample)
             try:
-                if kind == "hbvm":
-                    record = integrate(
-                        system, y0, h, n_steps, method, config.solver_config(), record_stride=0, observer=observer
-                    )
-                else:
-                    record = integrate_explicit(system, y0, h, n_steps, method, record_stride=0, observer=observer)
+                record = _trajectory(system, y0, h, n_steps, kind, method, config, observer)
             except StepFailure:
                 rows.append((name, h, None, None, None, None, "diverged"))
                 continue
@@ -377,7 +349,7 @@ def run_work_precision(config: RunConfig, methods=None, final_time: float = 100.
                 (
                     name,
                     h,
-                    worst,
+                    observer.worst,
                     float(np.max(np.abs(record.drift))),
                     record.wall_time,
                     str(int(record.iterations.sum())),

@@ -40,6 +40,7 @@ __all__ = [
     "SolverError",
     "StepFailure",
     "step",
+    "drive",
     "integrate",
     "rk_tableau",
     "solve_coefficients_fixed_point",
@@ -248,6 +249,7 @@ def _iterate(target, correct, shape, y0, cfg: SolverConfig, mode: str):
 # ---------------------------------------------------------------------------
 
 def _separable_coefficients(system, y0, h, method, cfg, mode):
+    """(coeffs, diagnostics, positions): positions(coeffs) are the stage positions Q_i."""
     sep = system.separable
     nq = sep.nq
     tab = method.tables
@@ -261,9 +263,11 @@ def _separable_coefficients(system, y0, h, method, cfg, mode):
     times = t0 + c * h
     base = q0[None, :] + h * np.outer(c, p0)
 
+    def positions(coeffs):
+        return base + h * h * (stage_weights @ coeffs)
+
     def target(coeffs):
-        stages = base + h * h * (stage_weights @ coeffs)
-        return weighted_basis @ sep.accel(stages, times)
+        return weighted_basis @ sep.accel(positions(coeffs), times)
 
     correct = None
     if mode == "blended":
@@ -284,11 +288,12 @@ def _separable_coefficients(system, y0, h, method, cfg, mode):
         xs2 = tab.integration_matrix @ tab.integration_matrix
         correct = _lu_correction(np.eye(tab.s * nq) + h * h * np.kron(xs2, lin))
 
-    return _iterate(target, correct, (tab.s, nq), y0, cfg, mode)
+    coeffs, diag = _iterate(target, correct, (tab.s, nq), y0, cfg, mode)
+    return coeffs, diag, positions
 
 
 def _separable_step(system, y0, h, method, cfg, mode):
-    coeffs, diag = _separable_coefficients(system, y0, h, method, cfg, mode)
+    coeffs, diag, positions = _separable_coefficients(system, y0, h, method, cfg, mode)
     sep = system.separable
     nq = sep.nq
     tab = method.tables
@@ -305,11 +310,8 @@ def _separable_step(system, y0, h, method, cfg, mode):
     if system.augmented:
         t0 = y0[2 * nq]
         times = t0 + tab.nodes * h
-        stage_q = q0[None, :] + h * np.outer(tab.nodes, p0) + h * h * (
-            (tab.node_integrals @ tab.integration_matrix) @ coeffs
-        )
         stage_p = p0[None, :] + h * (tab.node_integrals @ coeffs)
-        rates = sep.aug_rate(stage_q, stage_p, times)
+        rates = sep.aug_rate(positions(coeffs), stage_p, times)
         y1[2 * nq] = t0 + h
         y1[2 * nq + 1] = y0[2 * nq + 1] + h * float(tab.weights @ rates)
     return y1, diag
@@ -390,26 +392,28 @@ def rk_tableau(method: HBVMMethod):
     return a_matrix, tab.weights.copy(), tab.nodes.copy()
 
 
-def integrate(
+def drive(
     system: SemiDiscreteSystem,
     y0,
     h: float,
     n_steps: int,
-    method: HBVMMethod,
-    cfg: SolverConfig = SolverConfig(),
+    advance: Callable[[np.ndarray], tuple],
+    mode: str,
     record_stride: int = 1,
     observer: Optional[Callable[[int, float, np.ndarray], None]] = None,
 ) -> TrajectoryRecord:
-    """n_steps HBVM steps with per-step energy bookkeeping.
+    """The trajectory loop of every method: ``advance(y) -> (y1, StepDiagnostics)``
+    n_steps times, with per-step energy bookkeeping.
 
     States are stored every ``record_stride`` steps (0 stores endpoints only);
     ``observer(step_index, t, y)`` is invoked at every step including step 0.
-    Raises StepFailure (with the failing step index) on solver breakdown.
+    A malformed or non-finite state or stepsize and a negative step count are
+    rejected before the first step.  A SolverError from ``advance`` becomes a
+    StepFailure naming the step and carrying the partial trajectory.
     """
     y0 = _checked_inputs(system, y0, h)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    mode = cfg.resolve_mode(system)
 
     times = h * np.arange(n_steps + 1)
     hams = np.empty(n_steps + 1)
@@ -418,6 +422,20 @@ def integrate(
     resid = np.zeros(n_steps)
     kept_states = [y0.copy()]
     kept_times = [0.0]
+
+    def record(n: int) -> TrajectoryRecord:
+        """The trajectory through step n."""
+        return TrajectoryRecord(
+            times=times[: n + 1],
+            states=np.array(kept_states),
+            record_times=np.array(kept_times),
+            hamiltonian=hams[: n + 1],
+            physical_hamiltonian=phys[: n + 1] if phys is not None else None,
+            iterations=iters[:n],
+            residuals=resid[:n],
+            mode=mode,
+            wall_time=time.perf_counter() - start,
+        )
 
     y = y0.copy()
     hams[0] = system.hamiltonian(y)
@@ -429,20 +447,10 @@ def integrate(
     start = time.perf_counter()
     for n in range(1, n_steps + 1):
         try:
-            y, diag = step(system, y, h, method, cfg)
+            y, diag = advance(y)
         except SolverError as err:
             failure = StepFailure(f"step {n}: {err}", n, err.diagnostics)
-            failure.partial = TrajectoryRecord(
-                times=times[:n],
-                states=np.array(kept_states),
-                record_times=np.array(kept_times),
-                hamiltonian=hams[:n],
-                physical_hamiltonian=phys[:n] if phys is not None else None,
-                iterations=iters[: n - 1],
-                residuals=resid[: n - 1],
-                mode=mode,
-                wall_time=time.perf_counter() - start,
-            )
+            failure.partial = record(n - 1)
             raise failure from err
         hams[n] = system.hamiltonian(y)
         if phys is not None:
@@ -454,16 +462,25 @@ def integrate(
         if (record_stride and n % record_stride == 0) or n == n_steps:
             kept_states.append(y.copy())
             kept_times.append(times[n])
-    wall = time.perf_counter() - start
+    return record(n_steps)
 
-    return TrajectoryRecord(
-        times=times,
-        states=np.array(kept_states),
-        record_times=np.array(kept_times),
-        hamiltonian=hams,
-        physical_hamiltonian=phys,
-        iterations=iters,
-        residuals=resid,
-        mode=mode,
-        wall_time=wall,
-    )
+
+def integrate(
+    system: SemiDiscreteSystem,
+    y0,
+    h: float,
+    n_steps: int,
+    method: HBVMMethod,
+    cfg: SolverConfig = SolverConfig(),
+    record_stride: int = 1,
+    observer: Optional[Callable[[int, float, np.ndarray], None]] = None,
+) -> TrajectoryRecord:
+    """n_steps HBVM steps through drive(); raises StepFailure (with the
+    failing step index and the partial record) on solver breakdown."""
+
+    def advance(y):
+        # step is looked up at every call, so a wrapper set on the module
+        # (perfbench/tracing.py) sees each step.
+        return step(system, y, h, method, cfg)
+
+    return drive(system, y0, h, n_steps, advance, cfg.resolve_mode(system), record_stride, observer)

@@ -38,7 +38,6 @@ __all__ = [
     "harmonic_oscillator",
     "quartic_oscillator",
     "pendulum",
-    "make_problem",
 ]
 
 DEFAULT_DOMAIN = (-20.0, 20.0)
@@ -307,16 +306,3 @@ def pendulum() -> SemiDiscreteSystem:
         accel=lambda stages: -np.sin(stages),
     )
 
-
-def make_problem(name: str, **kw):
-    """Problem constructors addressable by name from the CLI."""
-    if name == "sine-gordon":
-        allowed = {k: kw[k] for k in ("gamma", "bc", "scheme", "N", "m", "domain") if k in kw}
-        return sine_gordon_system(**allowed)
-    if name == "quartic-wave":
-        allowed = {k: kw[k] for k in ("N", "scheme", "m", "domain") if k in kw}
-        return quartic_wave_system(**allowed)
-    if name == "nls":
-        allowed = {k: kw[k] for k in ("N", "kappa", "domain") if k in kw}
-        return nls_system(**allowed)
-    raise ValueError(f"unknown problem {name!r}; choose sine-gordon, quartic-wave, or nls")

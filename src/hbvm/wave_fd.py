@@ -27,7 +27,6 @@ from .systems import SemiDiscreteSystem, SeparableForm, SkewStructure
 __all__ = [
     "StencilOperator",
     "BoundaryData",
-    "apply_stencil",
     "build_periodic",
     "build_dirichlet",
     "build_neumann",
@@ -98,11 +97,6 @@ class StencilOperator:
         for r in range(1, self.weights.size + 1):
             t += self.weights[r - 1] * (2.0 - 2.0 * np.cos(r * theta))
         return t
-
-
-def apply_stencil(op: StencilOperator, q: np.ndarray) -> np.ndarray:
-    """Banded (or circulant-wrapped) matvec T q in O(n * bandwidth)."""
-    return op.apply(q)
 
 
 def _periodic_operator(n: int, order: int, dx: float) -> StencilOperator:
@@ -223,59 +217,45 @@ def build_periodic(N: int, order: int, domain, f, fprime, name: str = "wave") ->
     )
 
 
-def build_dirichlet(N: int, domain, f, fprime, boundary: BoundaryData, name: str = "wave") -> SemiDiscreteSystem:
-    """Dirichlet semi-discretization in augmented autonomous form (dim 2N+2).
+def _augmented_system(N, domain, f, fprime, boundary, kind, name, forcing) -> SemiDiscreteSystem:
+    """Boundary-forced system in augmented autonomous form (dim 2N+2).
 
-    Interior nodes x_i = a + i dx, i = 1..N, dx = (b-a)/(N+1).  The boundary
-    values enter the momentum equation as a forcing phi(t)/dx^2 on the first
-    and last nodes, and the conserved energy is the augmented one
-    Ht = H(q, p, t) + pt.
+    Interior nodes x_i = a + i dx, i = 1..N, dx = (b-a)/(N+1); the conserved
+    energy is Ht = H(q, p, t) + pt.  forcing(dx) returns the boundary terms:
+    energy(core, q, t) -> H from the interior energy core; gradient(gq, q, p, t)
+    adds to the q-block gq and returns the qt-slot; accel(out, times) adds to
+    the stage accelerations; aug_rate(stage_q, stage_p, times) -> ptdot.
     """
-    if boundary.kind != "dirichlet":
-        raise ValueError("build_dirichlet requires Dirichlet boundary data")
+    if boundary.kind != kind:
+        raise ValueError(f"build_{kind} requires {kind.capitalize()} boundary data")
     a, b = float(domain[0]), float(domain[1])
     if N < 3:
         raise ValueError("N must be at least 3")
     dx = (b - a) / (N + 1)
-    x = a + dx * np.arange(1, N + 1)
-    op = _tridiagonal_operator(N, "dirichlet", dx)
-    g0, g0d, g1, g1d = boundary.left, boundary.left_deriv, boundary.right, boundary.right_deriv
+    op = _tridiagonal_operator(N, kind, dx)
+    energy, boundary_gradient, boundary_accel, aug_rate = forcing(dx)
 
     def physical_hamiltonian(y):
         q, p, qt = y[:N], y[N : 2 * N], y[2 * N]
-        v0, v1 = float(g0(qt)), float(g1(qt))
         terms = 0.5 * p * p + q * op.apply(q) / (2.0 * dx**2) + f(q)
-        core = dx * _energy_sum(terms)
-        return core + (v0 * v0 + v1 * v1) / (2.0 * dx) - (q[0] * v0 + q[-1] * v1) / dx
+        return energy(dx * _energy_sum(terms), q, qt)
 
     def hamiltonian(y):
         return physical_hamiltonian(y) + y[2 * N + 1]
 
     def gradient(y):
         q, p, qt = y[:N], y[N : 2 * N], y[2 * N]
-        v0, v1 = float(g0(qt)), float(g1(qt))
-        d0, d1 = float(g0d(qt)), float(g1d(qt))
         g = np.empty(2 * N + 2)
         g[:N] = op.apply(q) / dx + dx * fprime(q)
-        g[0] -= v0 / dx
-        g[N - 1] -= v1 / dx
         g[N : 2 * N] = dx * p
-        g[2 * N] = ((v0 - q[0]) * d0 + (v1 - q[-1]) * d1) / dx
+        g[2 * N] = boundary_gradient(g[:N], q, p, qt)
         g[2 * N + 1] = 1.0
         return g
 
     def accel(stages, times):
         out = -op.apply_batch(stages) / dx**2 - fprime(stages)
-        out[:, 0] += np.asarray(g0(times), dtype=float) / dx**2
-        out[:, -1] += np.asarray(g1(times), dtype=float) / dx**2
+        boundary_accel(out, times)
         return out
-
-    def aug_rate(stage_q, stage_p, times):
-        v0 = np.asarray(g0(times), dtype=float)
-        v1 = np.asarray(g1(times), dtype=float)
-        d0 = np.asarray(g0d(times), dtype=float)
-        d1 = np.asarray(g1d(times), dtype=float)
-        return -((v0 - stage_q[:, 0]) * d0 + (v1 - stage_q[:, -1]) * d1) / dx
 
     linear_operator, make_preconditioner = _stiffness_hooks(op, dx)
     return SemiDiscreteSystem(
@@ -285,10 +265,10 @@ def build_dirichlet(N: int, domain, f, fprime, boundary: BoundaryData, name: str
         gradient=gradient,
         descriptor={
             "name": name,
-            "bc": "dirichlet",
+            "bc": kind,
             "order": 2,
             "domain": (a, b),
-            "x": x,
+            "x": a + dx * np.arange(1, N + 1),
             "dx": dx,
             "stencil": op,
         },
@@ -301,6 +281,42 @@ def build_dirichlet(N: int, domain, f, fprime, boundary: BoundaryData, name: str
         ),
         physical_hamiltonian=physical_hamiltonian,
     )
+
+
+def build_dirichlet(N: int, domain, f, fprime, boundary: BoundaryData, name: str = "wave") -> SemiDiscreteSystem:
+    """Dirichlet semi-discretization in augmented autonomous form (dim 2N+2).
+
+    The boundary values enter the momentum equation as a forcing phi(t)/dx^2
+    on the first and last nodes (grid and energy as in _augmented_system).
+    """
+    g0, g0d, g1, g1d = boundary.left, boundary.left_deriv, boundary.right, boundary.right_deriv
+
+    def forcing(dx):
+        def energy(core, q, t):
+            v0, v1 = float(g0(t)), float(g1(t))
+            return core + (v0 * v0 + v1 * v1) / (2.0 * dx) - (q[0] * v0 + q[-1] * v1) / dx
+
+        def gradient(gq, q, p, t):
+            v0, v1 = float(g0(t)), float(g1(t))
+            d0, d1 = float(g0d(t)), float(g1d(t))
+            gq[0] -= v0 / dx
+            gq[-1] -= v1 / dx
+            return ((v0 - q[0]) * d0 + (v1 - q[-1]) * d1) / dx
+
+        def accel(out, times):
+            out[:, 0] += np.asarray(g0(times), dtype=float) / dx**2
+            out[:, -1] += np.asarray(g1(times), dtype=float) / dx**2
+
+        def aug_rate(stage_q, stage_p, times):
+            v0 = np.asarray(g0(times), dtype=float)
+            v1 = np.asarray(g1(times), dtype=float)
+            d0 = np.asarray(g0d(times), dtype=float)
+            d1 = np.asarray(g1d(times), dtype=float)
+            return -((v0 - stage_q[:, 0]) * d0 + (v1 - stage_q[:, -1]) * d1) / dx
+
+        return energy, gradient, accel, aug_rate
+
+    return _augmented_system(N, domain, f, fprime, boundary, "dirichlet", name, forcing)
 
 
 def build_neumann(N: int, domain, f, fprime, boundary: BoundaryData, name: str = "wave") -> SemiDiscreteSystem:
@@ -317,76 +333,31 @@ def build_neumann(N: int, domain, f, fprime, boundary: BoundaryData, name: str =
     magnitudes, independent of k; it sits at roundoff for weakly forced
     boundaries.
     """
-    if boundary.kind != "neumann":
-        raise ValueError("build_neumann requires Neumann boundary data")
-    a, b = float(domain[0]), float(domain[1])
-    if N < 3:
-        raise ValueError("N must be at least 3")
-    dx = (b - a) / (N + 1)
-    x = a + dx * np.arange(1, N + 1)
-    op = _tridiagonal_operator(N, "neumann", dx)
     s0, s0d, s1, s1d = boundary.left, boundary.left_deriv, boundary.right, boundary.right_deriv
 
-    def physical_hamiltonian(y):
-        q, p, qt = y[:N], y[N : 2 * N], y[2 * N]
-        v0, v1 = float(s0(qt)), float(s1(qt))
-        terms = 0.5 * p * p + q * op.apply(q) / (2.0 * dx**2) + f(q)
-        return dx * _energy_sum(terms) + 0.5 * dx * (v0 * v0 + v1 * v1)
+    def forcing(dx):
+        def energy(core, q, t):
+            v0, v1 = float(s0(t)), float(s1(t))
+            return core + 0.5 * dx * (v0 * v0 + v1 * v1)
 
-    def hamiltonian(y):
-        return physical_hamiltonian(y) + y[2 * N + 1]
+        def gradient(gq, q, p, t):
+            v0, v1 = float(s0(t)), float(s1(t))
+            d0, d1 = float(s0d(t)), float(s1d(t))
+            gq[0] += v0
+            gq[-1] -= v1
+            return -(v0 * (p[0] - dx * d0) - v1 * (p[-1] + dx * d1))
 
-    def _pt_rate(q1, qN, p1, pN, t):
-        v0, v1 = float(s0(t)), float(s1(t))
-        d0, d1 = float(s0d(t)), float(s1d(t))
-        return v0 * (p1 - dx * d0) - v1 * (pN + dx * d1)
+        def accel(out, times):
+            out[:, 0] -= np.asarray(s0(times), dtype=float) / dx
+            out[:, -1] += np.asarray(s1(times), dtype=float) / dx
 
-    def gradient(y):
-        q, p, qt = y[:N], y[N : 2 * N], y[2 * N]
-        v0, v1 = float(s0(qt)), float(s1(qt))
-        g = np.empty(2 * N + 2)
-        g[:N] = op.apply(q) / dx + dx * fprime(q)
-        g[0] += v0
-        g[N - 1] -= v1
-        g[N : 2 * N] = dx * p
-        g[2 * N] = -_pt_rate(q[0], q[-1], p[0], p[-1], qt)
-        g[2 * N + 1] = 1.0
-        return g
+        def aug_rate(stage_q, stage_p, times):
+            v0 = np.asarray(s0(times), dtype=float)
+            v1 = np.asarray(s1(times), dtype=float)
+            d0 = np.asarray(s0d(times), dtype=float)
+            d1 = np.asarray(s1d(times), dtype=float)
+            return v0 * (stage_p[:, 0] - dx * d0) - v1 * (stage_p[:, -1] + dx * d1)
 
-    def accel(stages, times):
-        out = -op.apply_batch(stages) / dx**2 - fprime(stages)
-        out[:, 0] -= np.asarray(s0(times), dtype=float) / dx
-        out[:, -1] += np.asarray(s1(times), dtype=float) / dx
-        return out
+        return energy, gradient, accel, aug_rate
 
-    def aug_rate(stage_q, stage_p, times):
-        v0 = np.asarray(s0(times), dtype=float)
-        v1 = np.asarray(s1(times), dtype=float)
-        d0 = np.asarray(s0d(times), dtype=float)
-        d1 = np.asarray(s1d(times), dtype=float)
-        return v0 * (stage_p[:, 0] - dx * d0) - v1 * (stage_p[:, -1] + dx * d1)
-
-    linear_operator, make_preconditioner = _stiffness_hooks(op, dx)
-    return SemiDiscreteSystem(
-        dim=2 * N + 2,
-        skew=SkewStructure(n=N, scale=1.0 / dx, augmented=True),
-        hamiltonian=hamiltonian,
-        gradient=gradient,
-        descriptor={
-            "name": name,
-            "bc": "neumann",
-            "order": 2,
-            "domain": (a, b),
-            "x": x,
-            "dx": dx,
-            "stencil": op,
-        },
-        separable=SeparableForm(
-            nq=N,
-            accel=accel,
-            make_preconditioner=make_preconditioner,
-            linear_operator=linear_operator,
-            aug_rate=aug_rate,
-        ),
-        physical_hamiltonian=physical_hamiltonian,
-    )
+    return _augmented_system(N, domain, f, fprime, boundary, "neumann", name, forcing)

@@ -95,8 +95,11 @@ class TestSteps:
     def test_divergence_raises_step_failure(self):
         system = problems.harmonic_oscillator(omega=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(StepFailure):
+            with pytest.raises(StepFailure) as fail:
                 integrate_explicit(system, np.array([1.0, 0.0]), 2.5, 400, composition_scheme(2))
+        partial = fail.value.partial
+        assert partial.hamiltonian.size == fail.value.step_index
+        assert np.all(np.isfinite(partial.hamiltonian)) and partial.mode == "sv2"
 
 
 class TestLongTimeEnergy:

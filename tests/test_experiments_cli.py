@@ -208,6 +208,10 @@ class TestCLI:
         assert main(["solve", "--problem", "sine-gordon", "--scheme", "fd4", "--bc", "neumann"]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert main(["solve", "--problem", "nls", "-N", "16", "--h", "nan", "--steps", "2"]) == 2
+        for final_time in ("-5", "0", "nan", "inf"):
+            assert main(["convergence", "--levels", "20", "--final-time", final_time]) == 2
+            assert main(["wpd", "--methods", "sv2", "-N", "40", "--final-time", final_time]) == 2
+        assert "final_time must be finite and positive" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from conftest import rk_step_direct
 from hbvm import problems
+from hbvm.comparators import composition_scheme, integrate_explicit
 from hbvm.integrator import (
     HBVMMethod,
     SolverConfig,
@@ -89,14 +90,14 @@ class TestCoefficientSolvers:
         g_fp = solve_coefficients_fixed_point(system, y0, h, method, SolverConfig(tol=1e-15, mode="fixed-point"))
         from hbvm.integrator import _separable_coefficients
 
-        g_nd, _ = _separable_coefficients(system, y0, h, method, SolverConfig(tol=1e-15), "simplified-newton-dense")
+        g_nd, _, _ = _separable_coefficients(system, y0, h, method, SolverConfig(tol=1e-15), "simplified-newton-dense")
         np.testing.assert_allclose(g_fp, g_nd, atol=1e-12)
 
     def test_zero_state_converges_immediately(self):
         system = problems.quartic_oscillator()
         from hbvm.integrator import _separable_coefficients
 
-        coeffs, diag = _separable_coefficients(
+        coeffs, diag, _ = _separable_coefficients(
             system, np.zeros(2), 0.1, HBVMMethod(2, 1), SolverConfig(mode="fixed-point"), "fixed-point"
         )
         assert diag.iterations == 1
@@ -206,6 +207,20 @@ class TestFailFast:
             step(system, y0, h, HBVMMethod(3, 1))
         with pytest.raises(ValueError):
             integrate(system, y0, h, 2, HBVMMethod(3, 1))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "h,n_steps", [(np.nan, 2), (np.inf, 2), (0.0, 2), (-0.1, 2), (None, 2), (0.01, -1)]
+    )
+    def test_explicit_input_rejected_before_stepping(self, h, n_steps):
+        # h=None stands for a valid stepsize with a NaN entry in the state
+        system, y0 = _FAIL_FAST_SYSTEMS["fd6"]()
+        system, calls = _counting(system)
+        if h is None:
+            h, y0 = 0.01, y0.copy()
+            y0[3] = np.nan
+        with pytest.raises(ValueError):
+            integrate_explicit(system, y0, h, n_steps, composition_scheme(4))
         assert calls == []
 
     @pytest.mark.parametrize(

@@ -122,13 +122,3 @@ class TestNLS:
         with pytest.raises(ValueError):
             problems.build_nls_periodic(2, (0.0, 1.0), 1.0)
 
-
-class TestRegistry:
-    def test_known_problems(self):
-        for name in ("sine-gordon", "quartic-wave", "nls"):
-            system, y0 = problems.make_problem(name, N=16 if name != "sine-gordon" else 32, m=40)
-            assert y0.shape == (system.dim,)
-
-    def test_unknown_problem(self):
-        with pytest.raises(ValueError):
-            problems.make_problem("kdv")

@@ -6,7 +6,6 @@ from conftest import reference_solve
 from hbvm import problems
 from hbvm.wave_fd import (
     BoundaryData,
-    apply_stencil,
     build_dirichlet,
     build_neumann,
     build_periodic,
@@ -108,7 +107,7 @@ class TestStencilOperator:
     def test_dimension_mismatch(self):
         op = _periodic_operator(10, 2, 0.1)
         with pytest.raises(ValueError):
-            apply_stencil(op, np.zeros(11))
+            op.apply(np.zeros(11))
 
     def test_symbol_matches_eigenvalues(self):
         op = _periodic_operator(16, 4, 0.1)
