@@ -319,7 +319,9 @@ def run_work_precision(config: RunConfig, methods=None, final_time: float = 100.
 
     Stepsizes are log-spaced per method; when h does not divide final_time the
     step count is rounded and h adjusted to the nearest mesh point.  Wall
-    times are recorded, never asserted.  Unstable explicit runs are flagged.
+    times are recorded, never asserted.  A failed run is flagged: an unstable
+    explicit run ``diverged``, an HBVM run whose stage solve failed
+    ``solver-failed``.
     ``grid`` maps method names to (h_max, h_min, points) and replaces the
     default sweep wholesale.
     """
@@ -343,7 +345,8 @@ def run_work_precision(config: RunConfig, methods=None, final_time: float = 100.
             try:
                 record = _trajectory(system, y0, h, n_steps, kind, method, config, observer)
             except StepFailure:
-                rows.append((name, h, None, None, None, None, "diverged"))
+                status = "solver-failed" if kind == "hbvm" else "diverged"
+                rows.append((name, h, None, None, None, None, status))
                 continue
             rows.append(
                 (

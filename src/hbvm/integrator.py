@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -172,17 +171,6 @@ class TrajectoryRecord:
         return self.states[-1]
 
 
-@lru_cache(maxsize=None)
-def _blend_matrix(s: int) -> np.ndarray:
-    """rho_s^2 X_s^{-2}, the left factor of the blended update."""
-    tab = hbvm_tables(s, s)
-    xs = tab.integration_matrix
-    inv = np.linalg.inv(xs)
-    out = tab.rho**2 * (inv @ inv)
-    out.setflags(write=False)
-    return out
-
-
 def _accept(residual: float, previous: float, iteration: int, cfg: SolverConfig) -> bool:
     """Converged, or stagnating inside the roundoff floor near the root."""
     if residual <= cfg.tol:
@@ -253,31 +241,26 @@ def _separable_coefficients(system, y0, h, method, cfg, mode):
     sep = system.separable
     nq = sep.nq
     tab = method.tables
-    c, b = tab.nodes, tab.weights
-    weighted_basis = (tab.node_values * b[:, None]).T            # (s, k)
-    stage_weights = tab.node_integrals @ tab.integration_matrix  # (k, s)
-
     q0 = y0[:nq]
     p0 = y0[nq : 2 * nq]
     t0 = y0[2 * nq] if system.augmented else 0.0
-    times = t0 + c * h
-    base = q0[None, :] + h * np.outer(c, p0)
+    times = t0 + tab.nodes * h
+    base = q0[None, :] + h * np.outer(tab.nodes, p0)
 
     def positions(coeffs):
-        return base + h * h * (stage_weights @ coeffs)
+        return base + h * h * (tab.stage_weights @ coeffs)
 
     def target(coeffs):
-        return weighted_basis @ sep.accel(positions(coeffs), times)
+        return tab.weighted_basis @ sep.accel(positions(coeffs), times)
 
     correct = None
     if mode == "blended":
         if sep.make_preconditioner is None:
             raise SolverError("blended mode unsupported: system has no stiffness preconditioner")
         solve_m = sep.make_preconditioner(h * tab.rho)
-        blend = _blend_matrix(tab.s)
 
         def correct(update):
-            part = blend @ update
+            part = tab.blend @ update
             return solve_m(part + solve_m(update - part))
 
     elif mode == "simplified-newton-dense":
@@ -324,7 +307,6 @@ def _separable_step(system, y0, h, method, cfg, mode):
 def _generic_coefficients(system, y0, h, method, cfg, mode):
     dim = system.dim
     tab = method.tables
-    weighted_basis = (tab.node_values * tab.weights[:, None]).T
     ints = tab.node_integrals
 
     def target(coeffs):
@@ -332,7 +314,7 @@ def _generic_coefficients(system, y0, h, method, cfg, mode):
         rhs_rows = np.empty((tab.k, dim))
         for i in range(tab.k):
             rhs_rows[i] = system.rhs(stages[i])
-        return weighted_basis @ rhs_rows
+        return tab.weighted_basis @ rhs_rows
 
     correct = None
     if mode == "simplified-newton-dense":
@@ -388,7 +370,7 @@ def solve_coefficients_blended(system, y0, h, method, cfg=SolverConfig()):
 def rk_tableau(method: HBVMMethod):
     """Equivalent k-stage Runge-Kutta tableau (A, b, c)."""
     tab = method.tables
-    a_matrix = tab.node_integrals @ (tab.node_values * tab.weights[:, None]).T
+    a_matrix = tab.node_integrals @ tab.weighted_basis
     return a_matrix, tab.weights.copy(), tab.nodes.copy()
 
 

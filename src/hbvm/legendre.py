@@ -156,6 +156,12 @@ class HBVMTables:
     integration_matrix  = node_values^T diag(b) node_integrals  (s x s, exact
                           tridiagonal form for k >= s)
     rho                 = min |lambda| over its spectrum
+    weighted_basis      = (diag(b) node_values)^T  (s x k): stage values to
+                          Legendre coefficients
+    stage_weights       = node_integrals integration_matrix  (k x s): the
+                          h^2 term of the stage positions
+    blend               = rho^2 integration_matrix^-2  (s x s): left factor
+                          of the blended update
     """
 
     k: int
@@ -165,6 +171,9 @@ class HBVMTables:
     node_integrals: np.ndarray
     integration_matrix: np.ndarray
     rho: float
+    weighted_basis: np.ndarray
+    stage_weights: np.ndarray
+    blend: np.ndarray
 
     @property
     def nodes(self) -> np.ndarray:
@@ -189,9 +198,12 @@ def _hbvm_tables_cached(k: int, s: int) -> HBVMTables:
     )
     xs = _integration_matrix(s)
     rho = float(np.min(np.abs(np.linalg.eigvals(xs))))
-    vals.setflags(write=False)
-    ints.setflags(write=False)
-    xs.setflags(write=False)
+    inv = np.linalg.inv(xs)
+    weighted_basis = (vals * rule.weights[:, None]).T
+    stage_weights = ints @ xs
+    blend = rho**2 * (inv @ inv)
+    for table in (vals, ints, xs, weighted_basis, stage_weights, blend):
+        table.setflags(write=False)
     return HBVMTables(
         k=k,
         s=s,
@@ -200,6 +212,9 @@ def _hbvm_tables_cached(k: int, s: int) -> HBVMTables:
         node_integrals=ints,
         integration_matrix=xs,
         rho=rho,
+        weighted_basis=weighted_basis,
+        stage_weights=stage_weights,
+        blend=blend,
     )
 
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .systems import SemiDiscreteSystem, SeparableForm, SkewStructure
+from .systems import SemiDiscreteSystem, SeparableForm, SkewStructure, separable_system
 from .wave_fd import (
     BoundaryData,
     build_dirichlet,
@@ -253,10 +253,7 @@ def nls_system(N: int = 64, kappa: float = 1.0, domain=(0.0, 2.0 * np.pi), ampli
     return system, np.concatenate([u0, v0])
 
 
-def _oscillator(hamiltonian, gradient, accel, linear=None):
-    def accel_rows(stages, times):
-        return accel(stages)
-
+def _oscillator(hamiltonian, accel, linear=None):
     hooks = {}
     if linear is not None:
 
@@ -268,14 +265,7 @@ def _oscillator(hamiltonian, gradient, accel, linear=None):
             return lambda rows: rows / w
 
         hooks = {"linear_operator": linear_rows, "make_preconditioner": make_preconditioner}
-    return SemiDiscreteSystem(
-        dim=2,
-        skew=SkewStructure(n=1, scale=1.0),
-        hamiltonian=hamiltonian,
-        gradient=gradient,
-        descriptor={"name": "oscillator"},
-        separable=SeparableForm(nq=1, accel=accel_rows, **hooks),
-    )
+    return separable_system(SeparableForm(nq=1, accel=accel, **hooks), 1.0, hamiltonian, {"name": "oscillator"})
 
 
 def harmonic_oscillator(omega: float = 1.0) -> SemiDiscreteSystem:
@@ -283,8 +273,7 @@ def harmonic_oscillator(omega: float = 1.0) -> SemiDiscreteSystem:
     w2 = omega * omega
     return _oscillator(
         hamiltonian=lambda y: 0.5 * (y[1] ** 2 + w2 * y[0] ** 2),
-        gradient=lambda y: np.array([w2 * y[0], y[1]]),
-        accel=lambda stages: -w2 * stages,
+        accel=lambda stages, times: -w2 * stages,
         linear=w2,
     )
 
@@ -293,8 +282,7 @@ def quartic_oscillator() -> SemiDiscreteSystem:
     """H = p^2/2 + q^4/4; degree-4 polynomial energy."""
     return _oscillator(
         hamiltonian=lambda y: 0.5 * y[1] ** 2 + 0.25 * y[0] ** 4,
-        gradient=lambda y: np.array([y[0] ** 3, y[1]]),
-        accel=lambda stages: -(stages**3),
+        accel=lambda stages, times: -(stages**3),
     )
 
 
@@ -302,7 +290,6 @@ def pendulum() -> SemiDiscreteSystem:
     """H = p^2/2 + 1 - cos q; smooth non-polynomial test problem."""
     return _oscillator(
         hamiltonian=lambda y: 0.5 * y[1] ** 2 + 1.0 - np.cos(y[0]),
-        gradient=lambda y: np.array([np.sin(y[0]), y[1]]),
-        accel=lambda stages: -np.sin(stages),
+        accel=lambda stages, times: -np.sin(stages),
     )
 

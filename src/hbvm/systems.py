@@ -6,9 +6,12 @@ constant skew structure J.  States are flat vectors laid out as
 conjugate time pair, (q, p, qt, pt) with qt tracking time and pt balancing
 the energy flux through the boundary.
 
-Systems additionally expose an optional separable form (second-order systems
-qdot = p, pdot = accel(q, t)) that the integrator uses for its reduced-size
-nonlinear solve and blended preconditioning.
+Separable systems (second-order qdot = p, pdot = accel(q, t)) state their
+force once, in a SeparableForm: the integrator runs it for its reduced-size
+nonlinear solve and blended preconditioning, and separable_system reads the
+gradient off it.  With skew scale c, qdot = c dH/dp and pdot = -c dH/dq, so
+dH/dq = -accel/c and dH/dp = p/c; for augmented systems ptdot = -dH/dqt =
+aug_rate and qtdot = dH/dpt = 1.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["SkewStructure", "SeparableForm", "SemiDiscreteSystem", "hamiltonian_drift"]
+__all__ = ["SkewStructure", "SeparableForm", "SemiDiscreteSystem", "separable_system", "hamiltonian_drift"]
 
 
 @dataclass(frozen=True)
@@ -97,12 +100,32 @@ class SemiDiscreteSystem:
     def augmented(self) -> bool:
         return self.skew.augmented
 
-    def split(self, y: np.ndarray):
-        """(q, p) halves, plus (qt, pt) for augmented systems."""
-        n = self.skew.n
-        if self.augmented:
-            return y[:n], y[n : 2 * n], y[2 * n], y[2 * n + 1]
-        return y[:n], y[n : 2 * n]
+
+def separable_system(form, scale, hamiltonian, descriptor, physical_hamiltonian=None) -> SemiDiscreteSystem:
+    """System of a separable form with skew scale ``scale``, its gradient read
+    off the form (sign and scale rule in the module docstring); a form with
+    aug_rate gives an augmented system.  The gradient keeps this form, so
+    replacing ``separable`` on the result leaves J grad H unchanged.
+    """
+    n = form.nq
+    skew = SkewStructure(n=n, scale=scale, augmented=form.aug_rate is not None)
+    accel, aug_rate = form.accel, form.aug_rate
+
+    def gradient(y):
+        q, p = y[None, :n], y[None, n : 2 * n]
+        t = y[2 * n : 2 * n + 1] if skew.augmented else np.zeros(1)
+        g = np.empty(skew.dim)
+        g[:n] = -accel(q, t)[0] / scale
+        g[n : 2 * n] = p[0] / scale
+        if skew.augmented:
+            g[2 * n] = -aug_rate(q, p, t)[0]
+            g[2 * n + 1] = 1.0
+        return g
+
+    return SemiDiscreteSystem(
+        dim=skew.dim, skew=skew, hamiltonian=hamiltonian, gradient=gradient, descriptor=descriptor,
+        separable=form, physical_hamiltonian=physical_hamiltonian,
+    )
 
 
 def hamiltonian_drift(system: SemiDiscreteSystem, states) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .systems import SemiDiscreteSystem, SeparableForm, SkewStructure
+from .systems import SemiDiscreteSystem, SeparableForm, separable_system
 
 __all__ = [
     "StencilOperator",
@@ -132,12 +132,14 @@ class BoundaryData:
                 raise ValueError("boundary values and derivatives must all be callable")
 
 
-def _stiffness_hooks(op: StencilOperator, dx: float):
-    """linear_operator and make_preconditioner closures for a stencil T/dx^2.
+def _stencil_system(op: StencilOperator, domain, x, name, hamiltonian, accel, aug_rate=None, physical_hamiltonian=None):
+    """Separable system of the stencil T/dx^2 with the given energy and forces.
 
-    The preconditioner solves I + (h_rho/dx)^2 T exactly: by FFT for circulant
-    T, by a tridiagonal solve otherwise.
+    linear_operator applies T/dx^2; the preconditioner solves
+    I + (h_rho/dx)^2 T exactly: by FFT for circulant T, by a tridiagonal
+    solve otherwise.
     """
+    dx = op.dx
 
     def linear_operator(stages: np.ndarray) -> np.ndarray:
         return op.apply_batch(stages) / dx**2
@@ -163,7 +165,11 @@ def _stiffness_hooks(op: StencilOperator, dx: float):
             off = a * op.offdiagonal()
             return lambda rows: kernels.tridiag_solve_batch(diag, off, rows)
 
-    return linear_operator, make_preconditioner
+    form = SeparableForm(
+        nq=op.n, accel=accel, make_preconditioner=make_preconditioner, linear_operator=linear_operator, aug_rate=aug_rate
+    )
+    descriptor = {"name": name, "bc": op.bc, "order": op.order, "domain": domain, "x": x, "dx": dx, "stencil": op}
+    return separable_system(form, 1.0 / dx, hamiltonian, descriptor, physical_hamiltonian)
 
 
 def build_periodic(N: int, order: int, domain, f, fprime, name: str = "wave") -> SemiDiscreteSystem:
@@ -183,48 +189,21 @@ def build_periodic(N: int, order: int, domain, f, fprime, name: str = "wave") ->
         terms = 0.5 * p * p + q * op.apply(q) / (2.0 * dx**2) + f(q)
         return dx * _energy_sum(terms)
 
-    def gradient(y):
-        q, p = y[:N], y[N:]
-        g = np.empty(2 * N)
-        g[:N] = op.apply(q) / dx + dx * fprime(q)
-        g[N:] = dx * p
-        return g
-
     def accel(stages, times):
         return -op.apply_batch(stages) / dx**2 - fprime(stages)
 
-    linear_operator, make_preconditioner = _stiffness_hooks(op, dx)
-    return SemiDiscreteSystem(
-        dim=2 * N,
-        skew=SkewStructure(n=N, scale=1.0 / dx),
-        hamiltonian=hamiltonian,
-        gradient=gradient,
-        descriptor={
-            "name": name,
-            "bc": "periodic",
-            "order": order,
-            "domain": (a, b),
-            "x": x,
-            "dx": dx,
-            "stencil": op,
-        },
-        separable=SeparableForm(
-            nq=N,
-            accel=accel,
-            make_preconditioner=make_preconditioner,
-            linear_operator=linear_operator,
-        ),
-    )
+    return _stencil_system(op, (a, b), x, name, hamiltonian, accel)
 
 
 def _augmented_system(N, domain, f, fprime, boundary, kind, name, forcing) -> SemiDiscreteSystem:
     """Boundary-forced system in augmented autonomous form (dim 2N+2).
 
     Interior nodes x_i = a + i dx, i = 1..N, dx = (b-a)/(N+1); the conserved
-    energy is Ht = H(q, p, t) + pt.  forcing(dx) returns the boundary terms:
-    energy(core, q, t) -> H from the interior energy core; gradient(gq, q, p, t)
-    adds to the q-block gq and returns the qt-slot; accel(out, times) adds to
-    the stage accelerations; aug_rate(stage_q, stage_p, times) -> ptdot.
+    energy is Ht = H(q, p, t) + pt.  forcing(dx) returns the three boundary
+    closures: energy(core, q, t) -> H from the interior energy core;
+    accel(out, times) adds to the stage accelerations; aug_rate(stage_q,
+    stage_p, times) -> ptdot.  The gradient, qt-slot included, is read off
+    them by separable_system.
     """
     if boundary.kind != kind:
         raise ValueError(f"build_{kind} requires {kind.capitalize()} boundary data")
@@ -233,7 +212,7 @@ def _augmented_system(N, domain, f, fprime, boundary, kind, name, forcing) -> Se
         raise ValueError("N must be at least 3")
     dx = (b - a) / (N + 1)
     op = _tridiagonal_operator(N, kind, dx)
-    energy, boundary_gradient, boundary_accel, aug_rate = forcing(dx)
+    energy, boundary_accel, aug_rate = forcing(dx)
 
     def physical_hamiltonian(y):
         q, p, qt = y[:N], y[N : 2 * N], y[2 * N]
@@ -243,44 +222,13 @@ def _augmented_system(N, domain, f, fprime, boundary, kind, name, forcing) -> Se
     def hamiltonian(y):
         return physical_hamiltonian(y) + y[2 * N + 1]
 
-    def gradient(y):
-        q, p, qt = y[:N], y[N : 2 * N], y[2 * N]
-        g = np.empty(2 * N + 2)
-        g[:N] = op.apply(q) / dx + dx * fprime(q)
-        g[N : 2 * N] = dx * p
-        g[2 * N] = boundary_gradient(g[:N], q, p, qt)
-        g[2 * N + 1] = 1.0
-        return g
-
     def accel(stages, times):
         out = -op.apply_batch(stages) / dx**2 - fprime(stages)
         boundary_accel(out, times)
         return out
 
-    linear_operator, make_preconditioner = _stiffness_hooks(op, dx)
-    return SemiDiscreteSystem(
-        dim=2 * N + 2,
-        skew=SkewStructure(n=N, scale=1.0 / dx, augmented=True),
-        hamiltonian=hamiltonian,
-        gradient=gradient,
-        descriptor={
-            "name": name,
-            "bc": kind,
-            "order": 2,
-            "domain": (a, b),
-            "x": a + dx * np.arange(1, N + 1),
-            "dx": dx,
-            "stencil": op,
-        },
-        separable=SeparableForm(
-            nq=N,
-            accel=accel,
-            make_preconditioner=make_preconditioner,
-            linear_operator=linear_operator,
-            aug_rate=aug_rate,
-        ),
-        physical_hamiltonian=physical_hamiltonian,
-    )
+    x = a + dx * np.arange(1, N + 1)
+    return _stencil_system(op, (a, b), x, name, hamiltonian, accel, aug_rate, physical_hamiltonian)
 
 
 def build_dirichlet(N: int, domain, f, fprime, boundary: BoundaryData, name: str = "wave") -> SemiDiscreteSystem:
@@ -296,13 +244,6 @@ def build_dirichlet(N: int, domain, f, fprime, boundary: BoundaryData, name: str
             v0, v1 = float(g0(t)), float(g1(t))
             return core + (v0 * v0 + v1 * v1) / (2.0 * dx) - (q[0] * v0 + q[-1] * v1) / dx
 
-        def gradient(gq, q, p, t):
-            v0, v1 = float(g0(t)), float(g1(t))
-            d0, d1 = float(g0d(t)), float(g1d(t))
-            gq[0] -= v0 / dx
-            gq[-1] -= v1 / dx
-            return ((v0 - q[0]) * d0 + (v1 - q[-1]) * d1) / dx
-
         def accel(out, times):
             out[:, 0] += np.asarray(g0(times), dtype=float) / dx**2
             out[:, -1] += np.asarray(g1(times), dtype=float) / dx**2
@@ -314,7 +255,7 @@ def build_dirichlet(N: int, domain, f, fprime, boundary: BoundaryData, name: str
             d1 = np.asarray(g1d(times), dtype=float)
             return -((v0 - stage_q[:, 0]) * d0 + (v1 - stage_q[:, -1]) * d1) / dx
 
-        return energy, gradient, accel, aug_rate
+        return energy, accel, aug_rate
 
     return _augmented_system(N, domain, f, fprime, boundary, "dirichlet", name, forcing)
 
@@ -325,7 +266,7 @@ def build_neumann(N: int, domain, f, fprime, boundary: BoundaryData, name: str =
     Ghost values u_0 = u_1 - phi_0 dx and u_{N+1} = u_N + phi_1 dx encode the
     prescribed slopes; the stencil corners drop to 1 and the slopes force the
     momentum equation at strength 1/dx.  The qt-slot of the gradient is the
-    effective one consistent with the dynamics (ptdot depends on the boundary
+    effective one, -aug_rate by construction (ptdot depends on the boundary
     momenta), so ydot = J grad Ht holds and Ht = H + pt is invariant along
     the exact semi-discrete flow.  Because that slot couples to the momenta,
     the quadrature-exactness argument behind the integrator leaves an
@@ -340,13 +281,6 @@ def build_neumann(N: int, domain, f, fprime, boundary: BoundaryData, name: str =
             v0, v1 = float(s0(t)), float(s1(t))
             return core + 0.5 * dx * (v0 * v0 + v1 * v1)
 
-        def gradient(gq, q, p, t):
-            v0, v1 = float(s0(t)), float(s1(t))
-            d0, d1 = float(s0d(t)), float(s1d(t))
-            gq[0] += v0
-            gq[-1] -= v1
-            return -(v0 * (p[0] - dx * d0) - v1 * (p[-1] + dx * d1))
-
         def accel(out, times):
             out[:, 0] -= np.asarray(s0(times), dtype=float) / dx
             out[:, -1] += np.asarray(s1(times), dtype=float) / dx
@@ -358,6 +292,6 @@ def build_neumann(N: int, domain, f, fprime, boundary: BoundaryData, name: str =
             d1 = np.asarray(s1d(times), dtype=float)
             return v0 * (stage_p[:, 0] - dx * d0) - v1 * (stage_p[:, -1] + dx * d1)
 
-        return energy, gradient, accel, aug_rate
+        return energy, accel, aug_rate
 
     return _augmented_system(N, domain, f, fprime, boundary, "neumann", name, forcing)

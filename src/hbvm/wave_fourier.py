@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .systems import SemiDiscreteSystem, SeparableForm, SkewStructure
+from .systems import SemiDiscreteSystem, SeparableForm, separable_system
 
 __all__ = [
     "FourierBasis",
@@ -105,12 +105,15 @@ def project_initial(basis: FourierBasis, m_proj: int, psi0, psi1):
 
 
 def nonlinear_term(spec: SpectralSystem, q: np.ndarray) -> np.ndarray:
-    """Trapezoidal projection of f'(u) onto the basis: (L/m) sum_i w(x_i) f'(u(x_i))."""
+    """Trapezoidal projection of f'(u) onto the basis: (L/m) sum_i w(x_i) f'(u(x_i)).
+
+    q is a coefficient vector or a matrix of coefficient rows (stages).
+    """
     q = np.asarray(q, dtype=float)
-    if q.shape != (spec.basis.dim,):
-        raise ValueError(f"expected coefficient vector of length {spec.basis.dim}")
-    u = spec.quad_matrix @ q
-    return (spec.basis.length / spec.m) * (spec.quad_matrix.T @ spec.fprime(u))
+    if q.shape[-1:] != (spec.basis.dim,):
+        raise ValueError(f"expected coefficients of length {spec.basis.dim} on the last axis")
+    quad = spec.quad_matrix
+    return (spec.basis.length / spec.m) * (spec.fprime(q @ quad.T) @ quad)
 
 
 def eval_solution(basis: FourierBasis, coefficients: np.ndarray, xs) -> np.ndarray:
@@ -143,16 +146,8 @@ def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wa
         u = quad @ q
         return math.fsum(0.5 * p * p) + math.fsum(0.5 * diag * q * q) + (length / m) * math.fsum(f(u))
 
-    def gradient(y):
-        q, p = y[:dim], y[dim:]
-        g = np.empty(2 * dim)
-        g[:dim] = diag * q + nonlinear_term(spec, q)
-        g[dim:] = p
-        return g
-
     def accel(stages, times):
-        u = stages @ quad.T
-        return -stages * diag[None, :] - (length / m) * (fprime(u) @ quad)
+        return -stages * diag[None, :] - nonlinear_term(spec, stages)
 
     def linear_operator(stages):
         return stages * diag[None, :]
@@ -161,12 +156,12 @@ def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wa
         weights = 1.0 + h_rho * h_rho * diag
         return lambda rows: rows / weights[None, :]
 
-    return SemiDiscreteSystem(
-        dim=2 * dim,
-        skew=SkewStructure(n=dim, scale=1.0),
-        hamiltonian=hamiltonian,
-        gradient=gradient,
-        descriptor={
+    form = SeparableForm(nq=dim, accel=accel, make_preconditioner=make_preconditioner, linear_operator=linear_operator)
+    return separable_system(
+        form,
+        1.0,
+        hamiltonian,
+        {
             "name": name,
             "bc": "periodic",
             "scheme": "fourier",
@@ -176,10 +171,4 @@ def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wa
             "y0": np.concatenate([q0, p0]),
             "e_N": e_n,
         },
-        separable=SeparableForm(
-            nq=dim,
-            accel=accel,
-            make_preconditioner=make_preconditioner,
-            linear_operator=linear_operator,
-        ),
     )

@@ -152,6 +152,17 @@ class TestRunWorkPrecision:
         assert rows[0][-1] == "diverged"
         assert rows[0][2] is None
 
+    def test_hbvm_solver_failure_flagged_apart_from_divergence(self, capsys):
+        # three fixed-point iterations cannot converge at h = 0.5: the stage
+        # solve fails, which is not an explicit blow-up
+        cfg = RunConfig(N=100, solver="fixed-point", max_iter=3)
+        rows = run_work_precision(cfg, final_time=4.0, grid={"hbvm(5,1)": (0.5, 0.5, 1)})
+        assert rows == [("hbvm(5,1)", 0.5, None, None, None, None, "solver-failed")]
+        argv = ["wpd", "-N", "100", "--solver", "fixed-point", "--max-iter", "3", "--final-time", "4",
+                "--methods", "hbvm(5,1)"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.split()[-1] == "solver-failed"
+
     def test_stable_step_on_spectral_system_is_ok(self):
         cfg = RunConfig(problem="sine-gordon", scheme="fourier", N=100, m=200)
         rows = run_work_precision(cfg, methods=["sv2"], final_time=5.0, grid={"sv2": (0.05, 0.05, 1)})

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from conftest import rk_step_direct
 from hbvm import problems
@@ -114,7 +115,6 @@ class TestCoefficientSolvers:
         # every iteration must shrink the update by at least 10x
         zero = lambda u: np.zeros_like(u)
         from hbvm.wave_fd import build_periodic
-        from hbvm.integrator import _blend_matrix
 
         n = 64
         system = build_periodic(n, 2, (0.0, 1.0), zero, zero)
@@ -126,7 +126,6 @@ class TestCoefficientSolvers:
         y0 = 0.5 * rng.standard_normal(2 * n)
         sep = system.separable
         solve_m = sep.make_preconditioner(h * tab.rho)
-        blend = _blend_matrix(tab.s)
         weighted = (tab.node_values * tab.weights[:, None]).T
         stage_w = tab.node_integrals @ tab.integration_matrix
         base = y0[:n][None, :] + h * np.outer(tab.nodes, y0[n:])
@@ -135,7 +134,7 @@ class TestCoefficientSolvers:
         for _ in range(8):
             stages = base + h * h * (stage_w @ coeffs)
             update = weighted @ sep.accel(stages, np.zeros(5)) - coeffs
-            part = blend @ update
+            part = tab.blend @ update
             delta = solve_m(part + solve_m(update - part))
             coeffs = coeffs + delta
             norms.append(np.max(np.abs(delta)))
@@ -243,6 +242,38 @@ class TestFailFast:
         with pytest.raises(SolverError, match=f"{mode} .*non-finite residual at iteration 1") as err:
             step(system, y0, 0.01, HBVMMethod(3, 1), SolverConfig(mode=mode))
         assert err.value.diagnostics.iterations <= 2
+
+
+_REVERSIBLE_SYSTEMS = {
+    "harmonic": lambda: problems.harmonic_oscillator(omega=2.0),
+    "quartic": problems.quartic_oscillator,
+    "pendulum": problems.pendulum,
+    "periodic-fd2": lambda: problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd2", N=32)[0],
+    "fourier": lambda: problems.sine_gordon_system(gamma=1.0, scheme="fourier", N=8, m=16)[0],
+}
+
+
+class TestTimeReversibility:
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_REVERSIBLE_SYSTEMS)),
+        s=st.integers(1, 3),
+        extra_nodes=st.integers(0, 3),
+        h=st.floats(0.01, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+        amplitude=st.floats(0.1, 2.0),
+    )
+    def test_step_is_symmetric(self, name, s, extra_nodes, h, seed, amplitude):
+        # HBVM(k,s) is symmetric: with R(q, p) = (q, -p), R o Phi_h o R o Phi_h = id
+        system = _REVERSIBLE_SYSTEMS[name]()
+        method = HBVMMethod(s + extra_nodes, s)
+        n = system.skew.n
+        y = amplitude * np.random.default_rng(seed).standard_normal(system.dim)
+        y1, _ = step(system, y, h, method)
+        y1[n:] = -y1[n:]
+        back, _ = step(system, y1, h, method)
+        back[n:] = -back[n:]
+        assert np.max(np.abs(back - y)) <= 1e-12 * (1.0 + np.max(np.abs(y)))
 
 
 class TestRKEquivalence:

@@ -8,16 +8,21 @@ from hbvm.systems import SkewStructure, hamiltonian_drift
 
 def build_all_systems():
     sg_p, y_p = problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd2", N=40)
+    sg_6, y_6 = problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd6", N=40)
     sg_d, y_d = problems.sine_gordon_system(gamma=1.0, bc="dirichlet", scheme="fd2", N=40)
     sg_n, y_n = problems.sine_gordon_system(gamma=1.0, bc="neumann", scheme="fd2", N=40)
     sg_f, y_f = problems.sine_gordon_system(gamma=1.0, scheme="fourier", N=12, m=32)
     nls, y_s = problems.nls_system(N=24)
     return {
         "periodic": (sg_p, y_p),
+        "periodic-fd6": (sg_6, y_6),
         "dirichlet": (sg_d, y_d),
         "neumann": (sg_n, y_n),
         "fourier": (sg_f, y_f),
         "nls": (nls, y_s),
+        "harmonic": (problems.harmonic_oscillator(omega=2.0), np.array([0.7, -0.2])),
+        "quartic": (problems.quartic_oscillator(), np.array([1.0, 0.5])),
+        "pendulum": (problems.pendulum(), np.array([1.3, 0.4])),
     }
 
 
