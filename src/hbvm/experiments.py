@@ -83,13 +83,15 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive")
-        for name in ("N", "m", "k", "s", "max_iter"):
+        for name in ("N", "m", "max_iter"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
         if self.steps < 0 or self.stride < 0:
             raise ConfigError("steps and stride must be nonnegative")
-        if self.k < self.s:
-            raise ConfigError(f"invalid method: k >= s required, got ({self.k}, {self.s})")
+        try:
+            self.method()
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
         if self.solver not in ("auto", "fixed-point", "blended", "simplified-newton-dense"):
             raise ConfigError(f"unknown solver {self.solver!r}")
         return self
@@ -107,9 +109,9 @@ def parse_method(text: str):
     if t.startswith("hbvm(") and t.endswith(")"):
         try:
             k, s = (int(v) for v in t[5:-1].split(","))
+            return ("hbvm", HBVMMethod(k, s))
         except ValueError as err:
-            raise ConfigError(f"cannot parse method {text!r}") from err
-        return ("hbvm", HBVMMethod(k, s))
+            raise ConfigError(f"method {text!r}: {err}") from err
     if t in ("sv2", "sv4", "sv6"):
         return ("sv", composition_scheme(int(t[2:])))
     raise ConfigError(f"unknown method {text!r}; use hbvm(k,s) or sv2/sv4/sv6")

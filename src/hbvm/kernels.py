@@ -7,9 +7,10 @@ keeps the noise floor of T q / dx^2 evaluations an order of magnitude below
 the naive form and lets the stage iterations converge to tight tolerances.
 
 All kernels operate on float64 arrays with numpy/scipy.  Stencils act along
-the last axis, so the batched names, which take stage matrices of shape
-(k, n), are the same functions.  Callers look the kernels up as module
-attributes at each call, so a profiler can substitute timed wrappers.
+the last axis, on one vector or a (k, n) matrix of stage rows; the batched
+names are aliases of the same functions, kept for profilers that patch the
+kernels by name.  Callers look the kernels up as module attributes at each
+call, so a profiler can substitute timed wrappers.
 """
 
 from __future__ import annotations

@@ -226,11 +226,11 @@ def build_nls_periodic(N: int, domain, kappa: float) -> SemiDiscreteSystem:
         return math.fsum(terms)
 
     def gradient(y):
-        u, v = y[:N], y[N:]
+        u, v = y[..., :N], y[..., N:]
         dens = u * u + v * v
-        g = np.empty(2 * N)
-        g[:N] = op.apply(u) / dx - 2.0 * kappa * dx * dens * u
-        g[N:] = op.apply(v) / dx - 2.0 * kappa * dx * dens * v
+        g = np.empty(np.shape(y))
+        g[..., :N] = op.apply(u) / dx - 2.0 * kappa * dx * dens * u
+        g[..., N:] = op.apply(v) / dx - 2.0 * kappa * dx * dens * v
         return g
 
     return SemiDiscreteSystem(

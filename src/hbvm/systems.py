@@ -6,6 +6,12 @@ constant skew structure J.  States are flat vectors laid out as
 conjugate time pair, (q, p, qt, pt) with qt tracking time and pt balancing
 the energy flux through the boundary.
 
+The field callables act on the last axis: gradient, rhs and
+SkewStructure.apply take one state or a (rows, dim) stack of stage rows and
+return the same shape, so a solver evaluates all its stages in one call.
+hamiltonian and physical_hamiltonian take one state per call, because their
+exactly rounded sums are per state.
+
 Separable systems (second-order qdot = p, pdot = accel(q, t)) state their
 force once, in a SeparableForm: the integrator runs it for its reduced-size
 nonlinear solve and blended preconditioning, and separable_system reads the
@@ -42,15 +48,15 @@ class SkewStructure:
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         g = np.asarray(g, dtype=float)
-        if g.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got {g.shape}")
+        if g.shape[-1:] != (self.dim,):
+            raise ValueError(f"expected length {self.dim} on the last axis, got shape {g.shape}")
         n = self.n
         out = np.empty_like(g)
-        out[:n] = self.scale * g[n : 2 * n]
-        out[n : 2 * n] = -self.scale * g[:n]
+        out[..., :n] = self.scale * g[..., n : 2 * n]
+        out[..., n : 2 * n] = -self.scale * g[..., :n]
         if self.augmented:
-            out[2 * n] = g[2 * n + 1]
-            out[2 * n + 1] = -g[2 * n]
+            out[..., 2 * n] = g[..., 2 * n + 1]
+            out[..., 2 * n + 1] = -g[..., 2 * n]
         return out
 
 
@@ -92,8 +98,8 @@ class SemiDiscreteSystem:
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        if y.shape != (self.dim,):
-            raise ValueError(f"expected state of length {self.dim}, got {y.shape}")
+        if y.shape[-1:] != (self.dim,):
+            raise ValueError(f"expected states of length {self.dim} on the last axis, got shape {y.shape}")
         return self.skew.apply(self.gradient(y))
 
     @property
@@ -112,15 +118,16 @@ def separable_system(form, scale, hamiltonian, descriptor, physical_hamiltonian=
     accel, aug_rate = form.accel, form.aug_rate
 
     def gradient(y):
-        q, p = y[None, :n], y[None, n : 2 * n]
-        t = y[2 * n : 2 * n + 1] if skew.augmented else np.zeros(1)
-        g = np.empty(skew.dim)
-        g[:n] = -accel(q, t)[0] / scale
-        g[n : 2 * n] = p[0] / scale
+        rows = np.atleast_2d(y)
+        q, p = rows[:, :n], rows[:, n : 2 * n]
+        t = rows[:, 2 * n] if skew.augmented else np.zeros(len(rows))
+        g = np.empty(rows.shape)
+        g[:, :n] = -accel(q, t) / scale
+        g[:, n : 2 * n] = p / scale
         if skew.augmented:
-            g[2 * n] = -aug_rate(q, p, t)[0]
-            g[2 * n + 1] = 1.0
-        return g
+            g[:, 2 * n] = -aug_rate(q, p, t)
+            g[:, 2 * n + 1] = 1.0
+        return g.reshape(np.shape(y))
 
     return SemiDiscreteSystem(
         dim=skew.dim, skew=skew, hamiltonian=hamiltonian, gradient=gradient, descriptor=descriptor,

@@ -64,17 +64,13 @@ class StencilOperator:
     corner: float = 1.0
 
     def apply(self, q: np.ndarray) -> np.ndarray:
+        """T q along the last axis: one grid vector or a (rows, n) stack of stage rows."""
         q = np.asarray(q, dtype=float)
-        if q.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got {q.shape}")
+        if q.shape[-1:] != (self.n,):
+            raise ValueError(f"expected length {self.n} on the last axis, got shape {q.shape}")
         if self.bc == "periodic":
             return kernels.circulant_apply(self.weights, q)
         return kernels.tridiag_diff_apply(q, self.corner)
-
-    def apply_batch(self, stages: np.ndarray) -> np.ndarray:
-        if self.bc == "periodic":
-            return kernels.circulant_apply_batch(self.weights, stages)
-        return kernels.tridiag_diff_apply_batch(stages, self.corner)
 
     def diagonal(self) -> np.ndarray:
         """Main diagonal of a tridiagonal T."""
@@ -142,7 +138,7 @@ def _stencil_system(op: StencilOperator, domain, x, name, hamiltonian, accel, au
     dx = op.dx
 
     def linear_operator(stages: np.ndarray) -> np.ndarray:
-        return op.apply_batch(stages) / dx**2
+        return op.apply(stages) / dx**2
 
     if op.bc == "periodic":
         symbol = op.symbol()[: op.n // 2 + 1]
@@ -190,7 +186,7 @@ def build_periodic(N: int, order: int, domain, f, fprime, name: str = "wave") ->
         return dx * _energy_sum(terms)
 
     def accel(stages, times):
-        return -op.apply_batch(stages) / dx**2 - fprime(stages)
+        return -op.apply(stages) / dx**2 - fprime(stages)
 
     return _stencil_system(op, (a, b), x, name, hamiltonian, accel)
 
@@ -223,7 +219,7 @@ def _augmented_system(N, domain, f, fprime, boundary, kind, name, forcing) -> Se
         return physical_hamiltonian(y) + y[2 * N + 1]
 
     def accel(stages, times):
-        out = -op.apply_batch(stages) / dx**2 - fprime(stages)
+        out = -op.apply(stages) / dx**2 - fprime(stages)
         boundary_accel(out, times)
         return out
 

@@ -76,9 +76,7 @@ class SpectralSystem:
     """Precomputed quadrature data of one Fourier-Galerkin discretization."""
 
     basis: FourierBasis
-    stiffness: np.ndarray
     m: int
-    f: Callable
     fprime: Callable
     quad_matrix: np.ndarray  # (m, dim) basis values at the quadrature grid
 
@@ -136,7 +134,7 @@ def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wa
     basis = FourierBasis(n_modes=N, a=a, b=b)
     quad = basis.evaluate_matrix(basis.points(m))
     diag = basis.stiffness_diagonal()
-    spec = SpectralSystem(basis=basis, stiffness=diag, m=m, f=f, fprime=fprime, quad_matrix=quad)
+    spec = SpectralSystem(basis=basis, m=m, fprime=fprime, quad_matrix=quad)
     dim = basis.dim
     length = basis.length
     q0, p0, e_n = project_initial(basis, m, psi0, psi1)

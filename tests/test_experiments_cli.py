@@ -46,8 +46,9 @@ class TestRunConfig:
         assert kind == "hbvm" and (method.k, method.s) == (6, 2)
         kind, scheme = parse_method("sv4")
         assert kind == "sv" and scheme.order == 4
-        with pytest.raises(ConfigError):
-            parse_method("rk4")
+        for bad in ("rk4", "hbvm(30,1)", "hbvm(7,7)"):
+            with pytest.raises(ConfigError):
+                parse_method(bad)
 
 
 class TestRunSolve:
@@ -223,6 +224,11 @@ class TestCLI:
             assert main(["convergence", "--levels", "20", "--final-time", final_time]) == 2
             assert main(["wpd", "--methods", "sv2", "-N", "40", "--final-time", final_time]) == 2
         assert "final_time must be finite and positive" in capsys.readouterr().err
+        for method in ("hbvm(1,2)", "hbvm(0,0)", "hbvm(30,1)", "hbvm(7,7)"):
+            assert main(["drift", "-N", "50", "--steps", "2", "--methods", method]) == 2
+        for k, s in (("30", "1"), ("7", "7")):
+            assert main(["solve", "-N", "40", "--steps", "2", "-k", k, "-s", s]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.json"

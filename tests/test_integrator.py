@@ -156,6 +156,23 @@ class TestCoefficientSolvers:
             g_bl = solve_coefficients_blended(system, y0, h, HBVMMethod(5, 1), SolverConfig(tol=tol))
             assert np.max(np.abs(g_fp - g_bl)) <= 10 * tol * (1 + np.max(np.abs(y0)))
 
+    def test_fd_jacobian_from_row_probes(self):
+        # entry [i, j] is d rhs_i / d y_j, each probe scaled by its own step
+        from hbvm.integrator import _fd_jacobian
+
+        y = np.array([1.3, 0.4])
+        exact = np.array([[0.0, 1.0], [-np.cos(1.3), 0.0]])
+        np.testing.assert_allclose(_fd_jacobian(problems.pendulum().rhs, y), exact, atol=1e-8)
+
+    @pytest.mark.parametrize("mode,probes", [("fixed-point", 0), ("simplified-newton-dense", 2)])
+    def test_generic_solve_evaluates_all_stages_in_one_call(self, mode, probes):
+        # one gradient call on the k stage rows per iteration, plus the two
+        # probe calls of the finite-difference Jacobian for dense Newton
+        system, y0 = problems.nls_system(N=16)
+        system, calls = _counting(system)
+        _, diag = step(system, y0, 0.01, HBVMMethod(5, 1), SolverConfig(mode=mode))
+        assert len(calls) == diag.iterations + probes
+
     def test_blended_rejected_for_non_separable(self):
         system, y0 = problems.nls_system(N=16)
         with pytest.raises(SolverError):

@@ -106,8 +106,9 @@ class TestStencilOperator:
 
     def test_dimension_mismatch(self):
         op = _periodic_operator(10, 2, 0.1)
-        with pytest.raises(ValueError):
-            op.apply(np.zeros(11))
+        for shape in (11, (3, 11)):
+            with pytest.raises(ValueError):
+                op.apply(np.zeros(shape))
 
     def test_symbol_matches_eigenvalues(self):
         op = _periodic_operator(16, 4, 0.1)
