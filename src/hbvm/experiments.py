@@ -20,6 +20,7 @@ import numpy as np
 from . import kernels, problems
 from .comparators import composition_scheme, integrate_explicit
 from .integrator import HBVMMethod, SolverConfig, StepFailure, TrajectoryRecord, integrate
+from .wave_fourier import _synthesis
 
 __all__ = [
     "ConfigError",
@@ -83,11 +84,17 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive")
+        for name in ("N", "m", "k", "s", "steps", "stride", "max_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("N", "m", "max_iter"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
         if self.steps < 0 or self.stride < 0:
             raise ConfigError("steps and stride must be nonnegative")
+        if self.scheme == "fourier" and self.m < 2 * self.N:
+            raise ConfigError(f"m={self.m} under-resolves N={self.N}: the Fourier scheme needs m >= 2N")
         try:
             self.method()
         except ValueError as err:
@@ -122,8 +129,8 @@ def _sampler(system):
     (reconstructed on the quadrature points for spectral runs)."""
     if system.descriptor.get("scheme") == "fourier":
         spec = system.descriptor["spectral"]
-        quad, dim = spec.quad_matrix, spec.basis.dim
-        return (lambda y: quad @ y[:dim]), spec.basis.points(spec.m)
+        dim = spec.basis.dim
+        return (lambda y: _synthesis(spec, y[:dim])), spec.basis.points(spec.m)
     n = system.skew.n
     return (lambda y: y[:n]), system.descriptor["x"]
 
@@ -262,8 +269,8 @@ def run_drift(config: RunConfig, methods):
     rows = []
     for text in methods:
         kind, method = parse_method(text)
-        if kind != "hbvm" and system.augmented:
-            raise ConfigError("explicit baselines do not support boundary-forced (augmented) systems")
+        if kind != "hbvm" and (system.separable is None or system.augmented):
+            raise ConfigError("explicit baselines require a separable system without boundary forcing")
         record = _trajectory(system, y0, config.h, config.steps, kind, method, config)
         _, ham_drift, _, aug_drift = _energy_columns(record)
         for n, t in enumerate(record.times):

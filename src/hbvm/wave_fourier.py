@@ -6,13 +6,19 @@ giving coefficient dynamics with a diagonal stiffness and a nonlinear term
 evaluated by the m-point periodic trapezoidal rule, which is exact for
 trigonometric polynomials of degree < m.  The conserved Hamiltonian uses the
 same quadrature, so it is exactly the energy the integrator sees.
+
+On the grid x_i = a + i L / m the basis is a length-m real DFT, so
+coefficients and grid values are exchanged by one irfft (synthesis) and one
+rfft (analysis): the nonlinear term costs O(m log m) per stage.  At m = 2N
+the top cosine mode lands in the Nyquist bin and the top sine mode samples
+to zero, the aliasing documented in build_fourier.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -73,12 +79,59 @@ class FourierBasis:
 
 @dataclass(frozen=True)
 class SpectralSystem:
-    """Precomputed quadrature data of one Fourier-Galerkin discretization."""
+    """One Fourier-Galerkin discretization: basis, m-point grid, f'.
+
+    The DFT scalings of the modes 0..N are precomputed on construction, laid
+    out like the (re, im) float view of the rfft bins 0..N: synthesis_scale
+    maps coefficients to irfft input and analysis_scale maps rfft output to
+    trapezoidal projections.  Requires m >= 2N.
+    """
 
     basis: FourierBasis
     m: int
-    fprime: Callable
-    quad_matrix: np.ndarray  # (m, dim) basis values at the quadrature grid
+    fprime: Optional[Callable] = None
+    synthesis_scale: np.ndarray = field(init=False, repr=False)
+    analysis_scale: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n, m, length = self.basis.n_modes, self.m, self.basis.length
+        if m < 2 * n:
+            raise ValueError(f"m={m} under-resolves N={n}: need m >= 2N")
+        amp = np.full(n + 1, math.sqrt(2.0 / length))
+        amp[0] = math.sqrt(1.0 / length)
+        # irfft halves every bin but the zero and Nyquist ones
+        bins = np.full(n + 1, 0.5 * m)
+        bins[0] = m
+        if m == 2 * n:
+            bins[n] = m
+        sign = np.tile([1.0, -1.0], n + 1)  # bin j holds c_j - i s_j
+        object.__setattr__(self, "synthesis_scale", np.repeat(bins * amp, 2) * sign)
+        object.__setattr__(self, "analysis_scale", np.repeat((length / m) * amp, 2) * sign)
+
+
+def _synthesis(spec: SpectralSystem, q: np.ndarray) -> np.ndarray:
+    """Grid values u(x_i), i < m, of coefficients q on the last axis.
+
+    The order c0, c1, s1, ..., cN, sN is the (re, im) view of the bins
+    c_j - i s_j once a slot for the imaginary part of bin 0 is inserted.
+    irfft zero-pads the bins above N and drops the imaginary part of a
+    Nyquist bin, so at m = 2N the top sine samples to zero.
+    """
+    bins = np.empty(q.shape[:-1] + (spec.basis.dim + 1,))
+    bins[..., 0] = q[..., 0]
+    bins[..., 1] = 0.0
+    bins[..., 2:] = q[..., 1:]
+    bins *= spec.synthesis_scale
+    return np.fft.irfft(bins.view(complex), n=spec.m)
+
+
+def _analysis(spec: SpectralSystem, g: np.ndarray) -> np.ndarray:
+    """Trapezoidal projection (L/m) sum_i w(x_i) g_i of grid values on the last axis."""
+    bins = np.fft.rfft(g)[..., : spec.basis.n_modes + 1].view(float) * spec.analysis_scale
+    out = np.empty(g.shape[:-1] + (spec.basis.dim,))
+    out[..., 0] = bins[..., 0]
+    out[..., 1:] = bins[..., 2:]
+    return out
 
 
 def project_initial(basis: FourierBasis, m_proj: int, psi0, psi1):
@@ -89,17 +142,13 @@ def project_initial(basis: FourierBasis, m_proj: int, psi0, psi1):
     L2 norm (the norm of the unit-mapped coordinate, which the reported
     residual magnitudes refer to; the physical L2 value is sqrt(L) larger).
     """
+    spec = SpectralSystem(basis, m_proj)
     xs = basis.points(m_proj)
-    w = basis.evaluate_matrix(xs)
-    length = basis.length
-    v0 = np.asarray(psi0(xs), dtype=float) * np.ones_like(xs)
-    v1 = np.asarray(psi1(xs), dtype=float) * np.ones_like(xs)
-    q0 = (length / m_proj) * (w.T @ v0)
-    p0 = (length / m_proj) * (w.T @ v1)
-    r0 = v0 - w @ q0
-    r1 = v1 - w @ p0
-    e_n = np.sqrt((r0 @ r0 + r1 @ r1) / m_proj)
-    return q0, p0, float(e_n)
+    values = np.stack([np.asarray(psi(xs), dtype=float) * np.ones_like(xs) for psi in (psi0, psi1)])
+    coeffs = _analysis(spec, values)
+    residual = values - _synthesis(spec, coeffs)
+    e_n = np.sqrt(np.sum(residual * residual) / m_proj)
+    return coeffs[0], coeffs[1], float(e_n)
 
 
 def nonlinear_term(spec: SpectralSystem, q: np.ndarray) -> np.ndarray:
@@ -110,8 +159,7 @@ def nonlinear_term(spec: SpectralSystem, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape[-1:] != (spec.basis.dim,):
         raise ValueError(f"expected coefficients of length {spec.basis.dim} on the last axis")
-    quad = spec.quad_matrix
-    return (spec.basis.length / spec.m) * (spec.fprime(q @ quad.T) @ quad)
+    return _analysis(spec, spec.fprime(_synthesis(spec, q)))
 
 
 def eval_solution(basis: FourierBasis, coefficients: np.ndarray, xs) -> np.ndarray:
@@ -129,19 +177,16 @@ def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wa
     resolved data).  m >= 2N+1 gives the exact discrete Gram identity.
     """
     a, b = float(domain[0]), float(domain[1])
-    if m < 2 * N:
-        raise ValueError(f"m={m} under-resolves N={N}: need m >= 2N")
     basis = FourierBasis(n_modes=N, a=a, b=b)
-    quad = basis.evaluate_matrix(basis.points(m))
+    spec = SpectralSystem(basis=basis, m=m, fprime=fprime)
     diag = basis.stiffness_diagonal()
-    spec = SpectralSystem(basis=basis, m=m, fprime=fprime, quad_matrix=quad)
     dim = basis.dim
     length = basis.length
     q0, p0, e_n = project_initial(basis, m, psi0, psi1)
 
     def hamiltonian(y):
         q, p = y[:dim], y[dim:]
-        u = quad @ q
+        u = _synthesis(spec, q)
         return math.fsum(0.5 * p * p) + math.fsum(0.5 * diag * q * q) + (length / m) * math.fsum(f(u))
 
     def accel(stages, times):

@@ -31,6 +31,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(k=1, s=2).validate()
 
+    @pytest.mark.parametrize("name", ["N", "m", "k", "s", "steps", "stride", "max_iter"])
+    @pytest.mark.parametrize("bad", [5.0, True, "5"])
+    def test_integer_fields_reject_other_types(self, name, bad):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            RunConfig(**{name: bad}).validate()
+
+    def test_fourier_quadrature_bound(self):
+        with pytest.raises(ConfigError, match="m >= 2N"):
+            RunConfig(scheme="fourier", N=10, m=19).validate()
+        RunConfig(scheme="fourier", N=10, m=20).validate()
+        RunConfig(scheme="fd2", N=10, m=5).validate()  # m is read by the Fourier scheme only
+
     def test_problem_bc_combinations_rejected(self):
         from hbvm.experiments import build_run
 
@@ -39,7 +51,7 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             build_run(RunConfig(problem="quartic-wave", bc="neumann"))
         with pytest.raises(ConfigError):
-            build_run(RunConfig(problem="nls", scheme="fourier"))
+            build_run(RunConfig(problem="nls", scheme="fourier", m=800))
 
     def test_parse_method(self):
         kind, method = parse_method("HBVM(6,2)")
@@ -115,6 +127,11 @@ class TestRunDrift:
     def test_explicit_on_augmented_rejected(self):
         cfg = RunConfig(**{**TINY, "bc": "dirichlet"})
         with pytest.raises(ConfigError):
+            run_drift(cfg, ["sv2"])
+
+    def test_explicit_on_non_separable_rejected(self):
+        cfg = RunConfig(problem="nls", N=16, h=0.001, steps=2)
+        with pytest.raises(ConfigError, match="separable"):
             run_drift(cfg, ["sv2"])
 
 
@@ -229,6 +246,16 @@ class TestCLI:
         for k, s in (("30", "1"), ("7", "7")):
             assert main(["solve", "-N", "40", "--steps", "2", "-k", k, "-s", s]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_config_errors_that_used_to_crash(self, tmp_path, capsys):
+        assert main(["solve", "--scheme", "fourier", "-N", "10", "-m", "5", "--steps", "2"]) == 2
+        assert "m >= 2N" in capsys.readouterr().err
+        cfg_file = tmp_path / "float_k.json"
+        cfg_file.write_text(json.dumps({"k": 5.0, "steps": 2, "N": 40}))
+        assert main(["solve", "--config", str(cfg_file)]) == 2
+        assert "k must be an integer" in capsys.readouterr().err
+        assert main(["drift", "--problem", "nls", "-N", "16", "--h", "0.001", "--steps", "2", "--methods", "sv2"]) == 2
+        assert "separable" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.json"

@@ -6,6 +6,9 @@ from hbvm import problems
 from hbvm.wave_fd import build_periodic
 from hbvm.wave_fourier import (
     FourierBasis,
+    SpectralSystem,
+    _analysis,
+    _synthesis,
     build_fourier,
     eval_solution,
     nonlinear_term,
@@ -52,6 +55,76 @@ class TestFourierBasis:
             w = 2 * np.pi * k / 40.0
             assert d[2 * k - 1] == pytest.approx(w * w)
             assert d[2 * k] == pytest.approx(w * w)
+
+
+def exact_grid_basis(basis, m):
+    """Basis values on the m-point grid with the integer phase k*i mod m, exact for any N."""
+    i = np.arange(m)
+    out = np.empty((m, basis.dim))
+    out[:, 0] = np.sqrt(1.0 / basis.length)
+    amp = np.sqrt(2.0 / basis.length)
+    for k in range(1, basis.n_modes + 1):
+        phase = 2.0 * np.pi * ((k * i) % m) / m
+        out[:, 2 * k - 1] = amp * np.cos(phase)
+        out[:, 2 * k] = amp * np.sin(phase)
+    return out
+
+
+# (N, m): m = 2N, m = 2N+1, odd m > 2N+1, m >> 2N, and N >= 100
+TRANSFORM_CASES = [(4, 8), (4, 9), (5, 15), (3, 64), (100, 200), (100, 201), (120, 1001), (400, 800)]
+
+
+class TestTransforms:
+    def test_exact_phase_oracle_matches_evaluate_matrix(self):
+        basis = FourierBasis(n_modes=7, a=-1.5, b=2.0)
+        for m in (14, 15, 40):
+            np.testing.assert_allclose(exact_grid_basis(basis, m), basis.evaluate_matrix(basis.points(m)), atol=1e-14)
+
+    @pytest.mark.parametrize("N, m", TRANSFORM_CASES)
+    def test_synthesis_matches_basis_values(self, N, m, rng):
+        spec = SpectralSystem(FourierBasis(n_modes=N, a=-20.0, b=20.0), m)
+        w = exact_grid_basis(spec.basis, m)
+        for q in (rng.standard_normal(spec.basis.dim), rng.standard_normal((5, spec.basis.dim))):
+            scale = np.max(np.abs(q) @ np.abs(w).T)
+            got = _synthesis(spec, q)
+            assert got.shape == q.shape[:-1] + (m,)
+            assert np.max(np.abs(got - q @ w.T)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("N, m", TRANSFORM_CASES)
+    def test_analysis_matches_trapezoidal_projection(self, N, m, rng):
+        spec = SpectralSystem(FourierBasis(n_modes=N, a=-20.0, b=20.0), m)
+        w = exact_grid_basis(spec.basis, m)
+        weight = spec.basis.length / m
+        for g in (rng.standard_normal(m), rng.standard_normal((5, m))):
+            scale = weight * np.max(np.abs(g) @ np.abs(w))
+            got = _analysis(spec, g)
+            assert got.shape == g.shape[:-1] + (spec.basis.dim,)
+            assert np.max(np.abs(got - weight * (g @ w))) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("N, m", [(N, m) for N, m in TRANSFORM_CASES if m > 2 * N])
+    def test_round_trip(self, N, m, rng):
+        spec = SpectralSystem(FourierBasis(n_modes=N, a=0.0, b=3.0), m)
+        q = rng.standard_normal((5, spec.basis.dim))
+        np.testing.assert_allclose(_analysis(spec, _synthesis(spec, q)), q, atol=1e-13)
+
+    @pytest.mark.parametrize("N", [4, 100, 400])
+    def test_round_trip_aliasing_at_m_equal_2n(self, N, rng):
+        # on the 2N-point grid the top sine samples to zero and the top
+        # cosine has discrete norm 2; every other mode comes back unchanged
+        spec = SpectralSystem(FourierBasis(n_modes=N, a=0.0, b=3.0), 2 * N)
+        q = rng.standard_normal((5, spec.basis.dim))
+        back = _analysis(spec, _synthesis(spec, q))
+        assert np.all(back[:, -1] == 0.0)
+        np.testing.assert_allclose(back[:, -2], 2.0 * q[:, -2], atol=1e-13)
+        np.testing.assert_allclose(back[:, :-2], q[:, :-2], atol=1e-13)
+
+    def test_no_dense_quadrature_table(self):
+        spec, _ = make_spec()
+        assert not hasattr(spec, "quad_matrix")
+
+    def test_under_resolved_grid_rejected(self):
+        with pytest.raises(ValueError):
+            SpectralSystem(FourierBasis(n_modes=8, a=0.0, b=1.0), 15)
 
 
 class TestProjectInitial:
