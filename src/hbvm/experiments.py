@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict, replace
 from typing import Optional
 
@@ -82,6 +83,8 @@ class RunConfig:
             raise ConfigError(f"scheme {self.scheme!r} requires periodic boundary conditions")
         for name in ("gamma", "kappa", "h", "tol"):
             value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive")
         for name in ("N", "m", "k", "s", "steps", "stride", "max_iter"):
@@ -101,6 +104,8 @@ class RunConfig:
             raise ConfigError(str(err)) from err
         if self.solver not in ("auto", "fixed-point", "blended", "simplified-newton-dense"):
             raise ConfigError(f"unknown solver {self.solver!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path prefix string, got {self.out!r}")
         return self
 
     def solver_config(self) -> SolverConfig:

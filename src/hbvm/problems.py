@@ -10,8 +10,6 @@ oracles.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .systems import SemiDiscreteSystem, SeparableForm, SkewStructure, separable_system
@@ -20,6 +18,7 @@ from .wave_fd import (
     build_dirichlet,
     build_neumann,
     build_periodic,
+    _energy_sum,
     _periodic_operator,
 )
 from .wave_fourier import build_fourier
@@ -219,19 +218,25 @@ def build_nls_periodic(N: int, domain, kappa: float) -> SemiDiscreteSystem:
     x = a + dx * np.arange(N)
     op = _periodic_operator(N, 2, dx)
 
+    def fields(y):
+        """(u; v) as a (..., 2, N) view, so one stencil call covers both fields."""
+        y = np.asarray(y, dtype=float)
+        return y.reshape(y.shape[:-1] + (2, N))
+
     def hamiltonian(y):
-        u, v = y[:N], y[N:]
+        uv = fields(y)
+        u, v = uv
         dens = u * u + v * v
-        terms = (u * op.apply(u) + v * op.apply(v)) / (2.0 * dx) - 0.5 * kappa * dx * dens * dens
-        return math.fsum(terms)
+        quad = uv * op.apply(uv)
+        terms = (quad[0] + quad[1]) / (2.0 * dx) - 0.5 * kappa * dx * dens * dens
+        return _energy_sum(terms)
 
     def gradient(y):
-        u, v = y[..., :N], y[..., N:]
+        uv = fields(y)
+        u, v = uv[..., 0, :], uv[..., 1, :]
         dens = u * u + v * v
-        g = np.empty(np.shape(y))
-        g[..., :N] = op.apply(u) / dx - 2.0 * kappa * dx * dens * u
-        g[..., N:] = op.apply(v) / dx - 2.0 * kappa * dx * dens * v
-        return g
+        g = op.apply(uv) / dx - 2.0 * kappa * dx * dens[..., None, :] * uv
+        return g.reshape(np.shape(y))
 
     return SemiDiscreteSystem(
         dim=2 * N,

@@ -41,8 +41,13 @@ _DIFF_WEIGHTS = {
 
 
 def _energy_sum(terms: np.ndarray) -> float:
-    """Exactly rounded sum of per-node energy contributions."""
-    return math.fsum(terms)
+    """Exactly rounded sum of per-node energy contributions.
+
+    The terms go to math.fsum as a list of Python floats: the sum is the same
+    exactly rounded value, and fsum reads a list about twice as fast as it
+    iterates numpy scalars.
+    """
+    return math.fsum(terms.tolist())
 
 
 @dataclass(frozen=True)

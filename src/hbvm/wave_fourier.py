@@ -187,7 +187,9 @@ def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wa
     def hamiltonian(y):
         q, p = y[:dim], y[dim:]
         u = _synthesis(spec, q)
-        return math.fsum(0.5 * p * p) + math.fsum(0.5 * diag * q * q) + (length / m) * math.fsum(f(u))
+        kinetic = math.fsum((0.5 * p * p).tolist())
+        elastic = math.fsum((0.5 * diag * q * q).tolist())
+        return kinetic + elastic + (length / m) * math.fsum(f(u).tolist())
 
     def accel(stages, times):
         return -stages * diag[None, :] - nonlinear_term(spec, stages)

@@ -254,6 +254,14 @@ class TestCLI:
         cfg_file.write_text(json.dumps({"k": 5.0, "steps": 2, "N": 40}))
         assert main(["solve", "--config", str(cfg_file)]) == 2
         assert "k must be an integer" in capsys.readouterr().err
+        bad_file = tmp_path / "bad_type.json"
+        for value in ("0.1", True, None):
+            bad_file.write_text(json.dumps({"h": value, "steps": 2, "N": 40}))
+            assert main(["solve", "--config", str(bad_file)]) == 2
+            assert "h must be a real number" in capsys.readouterr().err
+        bad_file.write_text(json.dumps({"out": 5, "steps": 2, "N": 40}))
+        assert main(["solve", "--config", str(bad_file)]) == 2
+        assert "out must be a path prefix string" in capsys.readouterr().err
         assert main(["drift", "--problem", "nls", "-N", "16", "--h", "0.001", "--steps", "2", "--methods", "sv2"]) == 2
         assert "separable" in capsys.readouterr().err
 

@@ -36,6 +36,28 @@ def test_circulant_matches_dense(order, rng):
     np.testing.assert_allclose(kernels.circulant_apply_batch(WEIGHTS[order], stages), stages @ dense.T, atol=1e-13)
 
 
+def rolled_circulant(weights, q):
+    """The circulant stencil with np.roll shifts: the oracle the sliced kernel must equal bitwise."""
+    out = np.zeros_like(q)
+    for r in range(1, weights.size + 1):
+        fwd = np.roll(q, -r, axis=-1) - q
+        bwd = q - np.roll(q, r, axis=-1)
+        out -= weights[r - 1] * (fwd - bwd)
+    return out
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+@pytest.mark.parametrize("shape", [(), (5,), (5, 2)], ids=["vector", "stages", "nls-fields"])
+def test_circulant_bitwise_equals_rolled(order, shape, rng):
+    # n = order + 1 is the smallest grid build_periodic allows
+    for n in (order + 1, 17):
+        q = rng.standard_normal(shape + (n,))
+        got = kernels.circulant_apply(WEIGHTS[order], q)
+        want = rolled_circulant(WEIGHTS[order], q)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
 @pytest.mark.parametrize("corner", [1.0, 0.0])
 def test_tridiag_matches_dense(corner, rng):
     n = 13

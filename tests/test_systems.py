@@ -77,18 +77,14 @@ class TestRhs:
 
     def test_stage_rows_match_single_states(self, rng):
         # gradient and rhs act on the last axis: a stack of 3 rows gives the
-        # rows of 3 single-state calls, bitwise except Fourier, whose q @ quad.T
-        # turns from a matrix-vector into a matrix-matrix product
+        # rows of 3 single-state calls, bitwise
         for name, (system, y0) in build_all_systems().items():
             rows = y0 + 0.1 * rng.standard_normal((3, system.dim))
             if system.augmented:
                 rows[:, 2 * system.skew.n] = [0.1, 0.3, 0.7]
             for fn in (system.gradient, system.rhs):
                 want = np.array([fn(y) for y in rows])
-                if name == "fourier":
-                    np.testing.assert_allclose(fn(rows), want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
-                else:
-                    np.testing.assert_array_equal(fn(rows), want, err_msg=name)
+                np.testing.assert_array_equal(fn(rows), want, err_msg=name)
             assert system.gradient(np.ones(system.dim, dtype=int)).dtype == float, name
 
 
