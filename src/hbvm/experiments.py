@@ -142,27 +142,36 @@ def _sampler(system):
 
 def build_run(config: RunConfig):
     """(system, y0, sample) for a config; sample(t) is the analytic solution
-    on the comparison grid when available (None otherwise)."""
+    on the comparison grid when available (None otherwise).
+
+    A builder's ValueError (each knows its own smallest mesh) becomes a
+    ConfigError, as does a blended solver on a system without a separable
+    form and a stiffness preconditioner.
+    """
     config.validate()
-    if config.problem == "sine-gordon":
-        system, y0 = problems.sine_gordon_system(
-            gamma=config.gamma, bc=config.bc, scheme=config.scheme, N=config.N, m=config.m
-        )
-        if config.bc == "periodic":
-            grid = _sampler(system)[1]
-            sample = lambda t: problems.sine_gordon_exact(config.gamma, grid, t)
-        else:
-            sample = None
-        return system, y0, sample
-    if config.problem == "quartic-wave":
-        if config.bc != "periodic":
-            raise ConfigError("quartic-wave supports periodic boundary conditions only")
-        system, y0 = problems.quartic_wave_system(N=config.N, scheme=config.scheme, m=config.m)
-        return system, y0, None
-    if config.bc != "periodic" or config.scheme != "fd2":
+    if config.problem == "quartic-wave" and config.bc != "periodic":
+        raise ConfigError("quartic-wave supports periodic boundary conditions only")
+    if config.problem == "nls" and (config.bc != "periodic" or config.scheme != "fd2"):
         raise ConfigError("nls supports the periodic fd2 discretization only")
-    system, y0 = problems.nls_system(N=config.N, kappa=config.kappa)
-    return system, y0, None
+    try:
+        if config.problem == "sine-gordon":
+            system, y0 = problems.sine_gordon_system(
+                gamma=config.gamma, bc=config.bc, scheme=config.scheme, N=config.N, m=config.m
+            )
+        elif config.problem == "quartic-wave":
+            system, y0 = problems.quartic_wave_system(N=config.N, scheme=config.scheme, m=config.m)
+        else:
+            system, y0 = problems.nls_system(N=config.N, kappa=config.kappa)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    sep = system.separable
+    if config.solver == "blended" and (sep is None or sep.make_preconditioner is None):
+        raise ConfigError(f"the blended solver needs a separable system with a preconditioner; {config.problem} has none")
+    sample = None
+    if config.problem == "sine-gordon" and config.bc == "periodic":
+        grid = _sampler(system)[1]
+        sample = lambda t: problems.sine_gordon_exact(config.gamma, grid, t)
+    return system, y0, sample
 
 
 class _MaxError:

@@ -14,7 +14,8 @@ Non-separable systems use the full-state analogue of the same fixed point.
 Three solvers share these equations and one iteration loop: plain
 fixed-point iteration, the blended iteration (a cheap approximate inverse of
 the simplified-Newton matrix I + (h/dx)^2 X^2 (x) T built from two solves
-with the exact preconditioner I + (h rho)^2 L), and a dense
+with the exact preconditioner I + (h rho)^2 L for s >= 2; at s = 1 the
+blend is 1 and the blended step is one exact solve), and a dense
 simplified-Newton oracle for validation.
 """
 
@@ -253,10 +254,13 @@ def _separable_coefficients(system, y0, h, method, cfg, mode):
         if sep.make_preconditioner is None:
             raise SolverError("blended mode unsupported: system has no stiffness preconditioner")
         solve_m = sep.make_preconditioner(h * tab.rho)
-
-        def correct(update):
-            part = tab.blend @ update
-            return solve_m(part + solve_m(update - part))
+        if tab.s == 1:
+            # rho^2 X^-2 = 1, so the blended step is the exact simplified-Newton step on the stiff linear part.
+            correct = solve_m
+        else:
+            def correct(update):
+                part = tab.blend @ update
+                return solve_m(part + solve_m(update - part))
 
     elif mode == "simplified-newton-dense":
         if sep.linear_operator is not None:

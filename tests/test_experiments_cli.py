@@ -7,6 +7,7 @@ from hbvm.cli import main
 from hbvm.experiments import (
     ConfigError,
     RunConfig,
+    build_run,
     parse_method,
     run_convergence,
     run_drift,
@@ -264,6 +265,30 @@ class TestCLI:
         assert "out must be a path prefix string" in capsys.readouterr().err
         assert main(["drift", "--problem", "nls", "-N", "16", "--h", "0.001", "--steps", "2", "--methods", "sv2"]) == 2
         assert "separable" in capsys.readouterr().err
+        # meshes below each builder's minimum
+        for flags in (
+            ["-N", "2"],
+            ["--scheme", "fd4", "-N", "4"],
+            ["--scheme", "fd6", "-N", "5"],
+            ["--bc", "dirichlet", "-N", "2"],
+            ["--problem", "nls", "-N", "2"],
+        ):
+            assert main(["solve", *flags, "--steps", "2"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and "N" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve", "drift"])
+    def test_blended_on_non_separable_is_a_config_error(self, command, capsys):
+        # rejected before any step, not reported as a solver failure (exit 3)
+        argv = [command, "--problem", "nls", "-N", "16", "--h", "0.001", "--steps", "2", "--solver", "blended"]
+        if command == "drift":
+            argv += ["--methods", "hbvm(5,1)"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "blended" in err
+        with pytest.raises(ConfigError, match="blended"):
+            build_run(RunConfig(problem="nls", N=16, h=0.001, steps=2, solver="blended"))
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.json"

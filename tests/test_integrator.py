@@ -17,7 +17,7 @@ from hbvm.integrator import (
     solve_coefficients_fixed_point,
     step,
 )
-from hbvm.legendre import gauss_rule
+from hbvm.legendre import MAX_NODES, gauss_rule, hbvm_tables
 
 
 class TestStepBasics:
@@ -77,6 +77,14 @@ class TestStepBasics:
             y_sep, _ = step(system, y0, 0.1, HBVMMethod(k, s), cfg)
             y_gen, _ = step(generic, y0, 0.1, HBVMMethod(k, s), cfg)
             np.testing.assert_allclose(y_sep, y_gen, atol=1e-14)
+
+
+_PRECONDITIONED = {
+    "periodic-fd6": lambda: problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd6", N=64)[0],
+    "dirichlet-fd2": lambda: problems.sine_gordon_system(gamma=1.0, bc="dirichlet", scheme="fd2", N=64)[0],
+    "fourier": lambda: problems.sine_gordon_system(gamma=1.0, scheme="fourier", N=16, m=32)[0],
+    "harmonic": lambda: problems.harmonic_oscillator(omega=2.0),
+}
 
 
 class TestCoefficientSolvers:
@@ -155,6 +163,37 @@ class TestCoefficientSolvers:
             g_fp = solve_coefficients_fixed_point(system, y0, h, HBVMMethod(5, 1), SolverConfig(tol=tol))
             g_bl = solve_coefficients_blended(system, y0, h, HBVMMethod(5, 1), SolverConfig(tol=tol))
             assert np.max(np.abs(g_fp - g_bl)) <= 10 * tol * (1 + np.max(np.abs(y0)))
+
+    def test_blend_is_one_at_s1(self):
+        # rho^2 X^-2 with X = [1/2] and rho = 1/2, exactly, for every k
+        for k in range(1, MAX_NODES + 1):
+            assert np.array_equal(hbvm_tables(k, 1).blend, [[1.0]])
+
+    @pytest.mark.parametrize("name", sorted(_PRECONDITIONED))
+    def test_one_solve_is_the_blended_step_at_s1(self, name, rng):
+        # the two-solve blended formula reduces to one solve, bit for bit
+        sep = _PRECONDITIONED[name]().separable
+        for k in (1, 5, 12):
+            tab = hbvm_tables(k, 1)
+            solve_m = sep.make_preconditioner(0.1 * tab.rho)
+            u = rng.standard_normal((1, sep.nq))
+            part = tab.blend @ u
+            assert np.array_equal(solve_m(u), solve_m(part + solve_m(u - part)))
+
+    @pytest.mark.parametrize("k,s,solves", [(5, 1, 1), (4, 2, 2)])
+    def test_blended_preconditioner_solves_per_iteration(self, k, s, solves):
+        system, y0 = problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd6", N=64)
+        calls = []
+        make = system.separable.make_preconditioner
+
+        def counted(h_rho):
+            solve = make(h_rho)
+            return lambda rows: calls.append(1) or solve(rows)
+
+        system = replace(system, separable=replace(system.separable, make_preconditioner=counted))
+        _, diag = step(system, y0, 0.1, HBVMMethod(k, s), SolverConfig(mode="blended"))
+        assert diag.iterations >= 3
+        assert len(calls) == solves * diag.iterations
 
     def test_fd_jacobian_from_row_probes(self):
         # entry [i, j] is d rhs_i / d y_j, each probe scaled by its own step
@@ -291,6 +330,45 @@ class TestTimeReversibility:
         back, _ = step(system, y1, h, method)
         back[n:] = -back[n:]
         assert np.max(np.abs(back - y)) <= 1e-12 * (1.0 + np.max(np.abs(y)))
+
+
+def _mass_and_energy_drift(method, amplitude, mode, phase):
+    """Max relative drift of the mass sum(u^2 + v^2) and max energy drift
+    relative to 1 + |H0| (H0 is near 0 here) over 200 steps of h = 0.002,
+    from an N=32 NLS plane wave plus a small wave in another mode."""
+    system, y0 = problems.nls_system(N=32)
+    x = system.descriptor["x"]
+    y0 = y0 + amplitude * np.concatenate([np.cos(mode * x + phase), np.sin(mode * x + phase)])
+    record = integrate(system, y0, 0.002, 200, method)
+    mass = np.sum(record.states**2, axis=1)
+    energy = np.max(np.abs(record.drift)) / (1.0 + abs(record.hamiltonian[0]))
+    return np.max(np.abs(mass / mass[0] - 1.0)), energy
+
+
+_NLS_PERTURBATIONS = dict(
+    amplitude=st.floats(0.02, 0.1),
+    mode=st.sampled_from([2, 3]),
+    phase=st.floats(0.0, 2.0 * np.pi),
+)
+
+
+class TestQuadraticInvariants:
+    # Gauss methods (k = s) conserve every quadratic invariant; HBVM(k,s)
+    # with k > s conserves the non-quadratic NLS energy instead, not the mass.
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(**_NLS_PERTURBATIONS)
+    def test_gauss_keeps_nls_mass(self, amplitude, mode, phase):
+        for s in (1, 2, 3):
+            mass, _ = _mass_and_energy_drift(HBVMMethod(s, s), amplitude, mode, phase)
+            assert mass <= 1e-13
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(**_NLS_PERTURBATIONS)
+    def test_energy_conserving_method_moves_nls_mass(self, amplitude, mode, phase):
+        mass, energy = _mass_and_energy_drift(HBVMMethod(5, 1), amplitude, mode, phase)
+        assert energy <= 1e-13
+        assert mass > 1e-11
 
 
 class TestRKEquivalence:
