@@ -74,10 +74,10 @@ def _require_separable(system: SemiDiscreteSystem):
     return system.separable
 
 
-def _leapfrog(accel, y, nq, force, t, substeps):
+def _leapfrog(pdot, y, nq, force, t, substeps):
     """Kick-drift-kick substeps of the given sizes from y at time t -> (y1, force, t1).
 
-    force = accel(q, t) on entry; the force closing one substep opens the
+    force = pdot(q, t) on entry; the force closing one substep opens the
     next, so each substep costs one evaluation.
     """
     q, p = y[:nq].copy(), y[nq:].copy()
@@ -85,7 +85,7 @@ def _leapfrog(accel, y, nq, force, t, substeps):
         p += 0.5 * dt * force
         q += dt * p
         t += dt
-        force = accel(q[None, :], np.array([t]))[0]
+        force = pdot(q[None, :], np.array([t]))[0]
         p += 0.5 * dt * force
     return np.concatenate([q, p]), force, t
 
@@ -94,8 +94,8 @@ def composition_step(system: SemiDiscreteSystem, y0, h: float, scheme: Compositi
     """One composed step: Stormer-Verlet substeps with scaled stepsizes."""
     sep = _require_separable(system)
     y0 = np.asarray(y0, dtype=float)
-    force = sep.accel(y0[None, : sep.nq], np.array([t]))[0]
-    return _leapfrog(sep.accel, y0, sep.nq, force, t, scheme.coefficients * h)[0]
+    force = sep.pdot(y0[None, : sep.nq], np.array([t]))[0]
+    return _leapfrog(sep.pdot, y0, sep.nq, force, t, scheme.coefficients * h)[0]
 
 
 def stormer_verlet_step(system: SemiDiscreteSystem, y0, h: float, t: float = 0.0):
@@ -123,8 +123,8 @@ def integrate_explicit(
     def advance(y):
         nonlocal force, t
         if force is None:
-            force = sep.accel(y[None, :nq], np.zeros(1))[0]
-        y, force, t = _leapfrog(sep.accel, y, nq, force, t, substeps)
+            force = sep.pdot(y[None, :nq], np.zeros(1))[0]
+        y, force, t = _leapfrog(sep.pdot, y, nq, force, t, substeps)
         if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > DIVERGENCE_NORM:
             raise SolverError("explicit method diverged")
         return y, diagnostics

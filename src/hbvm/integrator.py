@@ -7,16 +7,21 @@ momentum derivative: with stage positions
 
     Q_i = q0 + c_i h p0 + h^2 sum_j (node_integrals @ X)_{ij} g_j,
 
-the coefficients satisfy g_j = sum_i b_i P_j(c_i) accel(Q_i), and the step
+the coefficients satisfy g_j = sum_i b_i P_j(c_i) pdot(Q_i), and the step
 closes with p1 = p0 + h g_0 and q1 = q0 + h p0 + h^2 (g_0/2 - xi_1 g_1).
+The force is pdot = from_grid(accel(to_grid(q))) - L q with L linear and
+accel pointwise, so L and the grid maps act on the s coefficient rows, only
+accel sees the k stage rows, and the rounding of the stiff operator stays
+out of the iterates (see _separable_coefficients for F, B and Q0).
 Non-separable systems use the full-state analogue of the same fixed point.
 
 Three solvers share these equations and one iteration loop: plain
 fixed-point iteration, the blended iteration (a cheap approximate inverse of
-the simplified-Newton matrix I + (h/dx)^2 X^2 (x) T built from two solves
-with the exact preconditioner I + (h rho)^2 L for s >= 2; at s = 1 the
-blend is 1 and the blended step is one exact solve), and a dense
-simplified-Newton oracle for validation.
+the simplified-Newton matrix I + h^2 X^2 (x) L built from two solves
+with the exact preconditioner M = I + (h rho)^2 L for s >= 2; at s = 1 the
+blend is 1 and the blended step is the closed form g <- M^-1 (F(g) - L B Q0),
+one solve with no L in the loop), and a dense simplified-Newton oracle for
+validation.
 """
 
 from __future__ import annotations
@@ -100,11 +105,15 @@ class SolverConfig:
     preconditioner and to fixed-point otherwise.  Convergence is declared on
     the max-norm of the coefficient update relative to 1 + |y0|_inf, either
     below tol or stagnating at the floating-point floor within
-    stall_factor * tol.  Grid operators amplify rounding noise by 1/dx in
-    the stage targets, so on fine meshes the iterates end in a small limit
-    cycle around the root (about 1e-12 relative at dx ~ 1e-2); an update
-    that stops shrinking inside the cap is accepted, one that stalls higher
-    is a failure.  Measured energy drift is unaffected by floor acceptance.
+    stall_factor * tol.  An update larger than the first one stops the solve
+    as diverging.  The separable solve keeps the stiff operator out of its
+    stage rows, so its updates reach tol on fine meshes too.  The generic
+    (NLS) path applies its grid operator to the stage states, which puts
+    rounding noise amplified by 1/dx into the stage targets, so on fine
+    meshes its iterates end in a small limit cycle around the root (about
+    1e-12 relative at dx ~ 1e-2); an update that stops shrinking inside the
+    cap is accepted, one that stalls higher is a failure.  Measured energy
+    drift is unaffected by floor acceptance.
     """
 
     mode: str = "auto"
@@ -200,6 +209,9 @@ def _iterate(target, correct, shape, y0, cfg: SolverConfig, mode: str):
 
     target(coeffs) is the fixed-point map; correct(update), if given, turns
     its update into the blended or Newton step (plain fixed point otherwise).
+    An unaccepted update larger than the first one, which is the size of the
+    whole solution, means the iteration does not contract: the solve stops
+    there, before the iterates overflow.
     """
     scale = 1.0 + float(np.max(np.abs(y0)))
     coeffs = np.zeros(shape)
@@ -221,6 +233,14 @@ def _iterate(target, correct, shape, y0, cfg: SolverConfig, mode: str):
             )
         if _accept(residual, previous, iteration, cfg):
             return coeffs, StepDiagnostics(iterations=iteration, residual=residual, mode=mode)
+        if iteration == 1:
+            first = residual
+        elif residual > first:
+            raise SolverError(
+                f"{mode} stage solve is diverging: residual {residual:.3e} at iteration {iteration} "
+                f"exceeds {first:.3e} at iteration 1; reduce h or switch solver mode",
+                StepDiagnostics(iterations=iteration, residual=residual, mode=mode),
+            )
     raise SolverError(
         f"{mode} stage solve did not converge in {cfg.max_iter} iterations "
         f"(residual {residual:.3e}); reduce h or switch solver mode",
@@ -233,7 +253,15 @@ def _iterate(target, correct, shape, y0, cfg: SolverConfig, mode: str):
 # ---------------------------------------------------------------------------
 
 def _separable_coefficients(system, y0, h, method, cfg, mode):
-    """(coeffs, diagnostics, positions): positions(coeffs) are the stage positions Q_i."""
+    """(coeffs, diagnostics, positions): positions(coeffs) are the stage positions Q_i.
+
+    The stage positions are Q = Q0 + h^2 W c with Q0_i = q0 + c_i h p0 (base)
+    and W = stage_weights, and B = weighted_basis has B W = X^2.  So the
+    fixed-point map B pdot(Q) splits into F(c) - L(B Q0) - L(h^2 X^2 c) with
+    F(c) = from_grid(B accel(to_grid(Q0) + h^2 W to_grid(c))): L and the
+    grid maps act on the s coefficient rows, and only the pointwise accel
+    sees the k stage rows.
+    """
     sep = system.separable
     nq = sep.nq
     tab = method.tables
@@ -242,12 +270,22 @@ def _separable_coefficients(system, y0, h, method, cfg, mode):
     t0 = y0[2 * nq] if system.augmented else 0.0
     times = t0 + tab.nodes * h
     base = q0[None, :] + h * np.outer(tab.nodes, p0)
+    to_grid = sep.to_grid or (lambda rows: rows)
+    from_grid = sep.from_grid or (lambda rows: rows)
+    lin = sep.linear_operator or (lambda rows: 0.0)
+    grid_base = to_grid(base)
+    lin_base = lin(tab.weighted_basis @ base)
+    xs2 = tab.integration_matrix @ tab.integration_matrix
 
     def positions(coeffs):
         return base + h * h * (tab.stage_weights @ coeffs)
 
+    def forces(coeffs):
+        grid = grid_base + h * h * (tab.stage_weights @ to_grid(coeffs))
+        return from_grid(tab.weighted_basis @ sep.accel(grid, times)) - lin_base
+
     def target(coeffs):
-        return tab.weighted_basis @ sep.accel(positions(coeffs), times)
+        return forces(coeffs) - lin(h * h * (xs2 @ coeffs))
 
     correct = None
     if mode == "blended":
@@ -255,8 +293,12 @@ def _separable_coefficients(system, y0, h, method, cfg, mode):
             raise SolverError("blended mode unsupported: system has no stiffness preconditioner")
         solve_m = sep.make_preconditioner(h * tab.rho)
         if tab.s == 1:
-            # rho^2 X^-2 = 1, so the blended step is the exact simplified-Newton step on the stiff linear part.
-            correct = solve_m
+            # rho^2 = X^2 = 1/4, so the blended step c + M^-1 (target(c) - c)
+            # is the exact simplified-Newton step M^-1 (F(c) - L(B Q0)), with no
+            # L in the loop.
+            def target(coeffs):
+                return solve_m(forces(coeffs))
+
         else:
             def correct(update):
                 part = tab.blend @ update
@@ -264,11 +306,10 @@ def _separable_coefficients(system, y0, h, method, cfg, mode):
 
     elif mode == "simplified-newton-dense":
         if sep.linear_operator is not None:
-            lin = sep.linear_operator(np.eye(nq)).T
+            jac = sep.linear_operator(np.eye(nq)).T
         else:
-            lin = -_fd_jacobian(lambda rows: sep.accel(rows, np.full(len(rows), times[0])), q0)
-        xs2 = tab.integration_matrix @ tab.integration_matrix
-        correct = _lu_correction(np.eye(tab.s * nq) + h * h * np.kron(xs2, lin))
+            jac = -_fd_jacobian(lambda rows: sep.pdot(rows, np.full(len(rows), times[0])), q0)
+        correct = _lu_correction(np.eye(tab.s * nq) + h * h * np.kron(xs2, jac))
 
     coeffs, diag = _iterate(target, correct, (tab.s, nq), y0, cfg, mode)
     return coeffs, diag, positions

@@ -259,6 +259,7 @@ def nls_system(N: int = 64, kappa: float = 1.0, domain=(0.0, 2.0 * np.pi), ampli
 
 
 def _oscillator(hamiltonian, accel, linear=None):
+    """One-degree-of-freedom separable system; linear, if given, is the stiff part L = linear."""
     hooks = {}
     if linear is not None:
 
@@ -278,7 +279,7 @@ def harmonic_oscillator(omega: float = 1.0) -> SemiDiscreteSystem:
     w2 = omega * omega
     return _oscillator(
         hamiltonian=lambda y: 0.5 * (y[1] ** 2 + w2 * y[0] ** 2),
-        accel=lambda stages, times: -w2 * stages,
+        accel=lambda stages, times: np.zeros_like(stages),
         linear=w2,
     )
 

@@ -12,12 +12,14 @@ return the same shape, so a solver evaluates all its stages in one call.
 hamiltonian and physical_hamiltonian take one state per call, because their
 exactly rounded sums are per state.
 
-Separable systems (second-order qdot = p, pdot = accel(q, t)) state their
-force once, in a SeparableForm: the integrator runs it for its reduced-size
-nonlinear solve and blended preconditioning, and separable_system reads the
-gradient off it.  With skew scale c, qdot = c dH/dp and pdot = -c dH/dq, so
-dH/dq = -accel/c and dH/dp = p/c; for augmented systems ptdot = -dH/dqt =
-aug_rate and qtdot = dH/dpt = 1.
+Separable systems (second-order qdot = p, pdot = SeparableForm.pdot(q, t))
+state their force once, in a SeparableForm, split into a stiff linear part
+-L q and a pointwise remainder evaluated on grid values: the integrator keeps
+L and the grid maps on its s coefficient rows and evaluates only the
+remainder on the k stage rows, and separable_system reads the gradient off
+pdot.  With skew scale c, qdot = c dH/dp and pdot = -c dH/dq, so dH/dq =
+-pdot/c and dH/dp = p/c; for augmented systems ptdot = -dH/dqt = aug_rate
+and qtdot = dH/dpt = 1.
 """
 
 from __future__ import annotations
@@ -62,14 +64,18 @@ class SkewStructure:
 
 @dataclass(frozen=True)
 class SeparableForm:
-    """Second-order structure qdot = p, pdot = accel(q, t) used by fast solvers.
+    """Second-order structure qdot = p, pdot = pdot(q, t) used by fast solvers.
 
-    accel maps stage blocks (rows of shape (nq,)) and their times to the
-    corresponding pdot rows.  make_preconditioner(h_rho) returns an exact
-    row-wise solver for I + (h_rho)^2 * L with L the stiffness linear part
-    (``None`` when the system has no stiff linear part).
-    linear_operator applies L to stage rows, for the dense simplified-Newton
-    path.  aug_rate gives ptdot at the stages of augmented systems.
+    The force is split as pdot(q, t) = from_grid(accel(to_grid(q), t)) - L q.
+    linear_operator applies the stiff linear part L to rows of q (``None``
+    when there is none).  accel is the non-stiff remainder: it maps rows of
+    grid values and their times to rows of grid forces, -f'(u) plus any
+    boundary forcing.  to_grid and from_grid are the linear maps between the
+    rows of q and grid values (Fourier synthesis and trapezoidal analysis);
+    ``None`` means the identity, as for finite differences, whose unknowns
+    are the grid values.  make_preconditioner(h_rho) returns an exact
+    row-wise solver for I + (h_rho)^2 * L.  aug_rate gives ptdot at the
+    stages of augmented systems.
     """
 
     nq: int
@@ -77,6 +83,18 @@ class SeparableForm:
     make_preconditioner: Optional[Callable[[float], Callable[[np.ndarray], np.ndarray]]] = None
     linear_operator: Optional[Callable[[np.ndarray], np.ndarray]] = None
     aug_rate: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    to_grid: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    from_grid: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def pdot(self, q: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The full momentum derivative at rows of q and their times."""
+        grid = q if self.to_grid is None else self.to_grid(q)
+        out = self.accel(grid, t)
+        if self.from_grid is not None:
+            out = self.from_grid(out)
+        if self.linear_operator is not None:
+            out = out - self.linear_operator(q)
+        return out
 
 
 @dataclass(frozen=True)
@@ -115,14 +133,14 @@ def separable_system(form, scale, hamiltonian, descriptor, physical_hamiltonian=
     """
     n = form.nq
     skew = SkewStructure(n=n, scale=scale, augmented=form.aug_rate is not None)
-    accel, aug_rate = form.accel, form.aug_rate
+    pdot, aug_rate = form.pdot, form.aug_rate
 
     def gradient(y):
         rows = np.atleast_2d(y)
         q, p = rows[:, :n], rows[:, n : 2 * n]
         t = rows[:, 2 * n] if skew.augmented else np.zeros(len(rows))
         g = np.empty(rows.shape)
-        g[:, :n] = -accel(q, t) / scale
+        g[:, :n] = -pdot(q, t) / scale
         g[:, n : 2 * n] = p / scale
         if skew.augmented:
             g[:, 2 * n] = -aug_rate(q, p, t)

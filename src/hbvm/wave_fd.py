@@ -136,9 +136,9 @@ class BoundaryData:
 def _stencil_system(op: StencilOperator, domain, x, name, hamiltonian, accel, aug_rate=None, physical_hamiltonian=None):
     """Separable system of the stencil T/dx^2 with the given energy and forces.
 
-    linear_operator applies T/dx^2; the preconditioner solves
-    I + (h_rho/dx)^2 T exactly: by FFT for circulant T, by a tridiagonal
-    solve otherwise.
+    linear_operator applies T/dx^2, and accel is the rest of the force on
+    the grid; the preconditioner solves I + (h_rho/dx)^2 T exactly: by FFT
+    for circulant T, by a tridiagonal solve otherwise.
     """
     dx = op.dx
 
@@ -176,7 +176,8 @@ def _stencil_system(op: StencilOperator, domain, x, name, hamiltonian, accel, au
 def build_periodic(N: int, order: int, domain, f, fprime, name: str = "wave") -> SemiDiscreteSystem:
     """Periodic semi-discretization of dim 2N on [a, b] with dx = (b-a)/N.
 
-    H = dx [p.p/2 + q.Tq/(2 dx^2) + sum f(q)], pdot = -Tq/dx^2 - f'(q).
+    H = dx [p.p/2 + q.Tq/(2 dx^2) + sum f(q)], pdot = -Tq/dx^2 - f'(q), with
+    accel = -f'(q) and L = T/dx^2.
     """
     a, b = float(domain[0]), float(domain[1])
     if N < order + 1:
@@ -191,7 +192,7 @@ def build_periodic(N: int, order: int, domain, f, fprime, name: str = "wave") ->
         return dx * _energy_sum(terms)
 
     def accel(stages, times):
-        return -op.apply(stages) / dx**2 - fprime(stages)
+        return -fprime(stages)
 
     return _stencil_system(op, (a, b), x, name, hamiltonian, accel)
 
@@ -202,9 +203,9 @@ def _augmented_system(N, domain, f, fprime, boundary, kind, name, forcing) -> Se
     Interior nodes x_i = a + i dx, i = 1..N, dx = (b-a)/(N+1); the conserved
     energy is Ht = H(q, p, t) + pt.  forcing(dx) returns the three boundary
     closures: energy(core, q, t) -> H from the interior energy core;
-    accel(out, times) adds to the stage accelerations; aug_rate(stage_q,
-    stage_p, times) -> ptdot.  The gradient, qt-slot included, is read off
-    them by separable_system.
+    accel(out, times) adds the boundary forcing to the stage forces;
+    aug_rate(stage_q, stage_p, times) -> ptdot.  The gradient, qt-slot
+    included, is read off them by separable_system.
     """
     if boundary.kind != kind:
         raise ValueError(f"build_{kind} requires {kind.capitalize()} boundary data")
@@ -224,7 +225,7 @@ def _augmented_system(N, domain, f, fprime, boundary, kind, name, forcing) -> Se
         return physical_hamiltonian(y) + y[2 * N + 1]
 
     def accel(stages, times):
-        out = -op.apply(stages) / dx**2 - fprime(stages)
+        out = -fprime(stages)
         boundary_accel(out, times)
         return out
 

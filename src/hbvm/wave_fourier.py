@@ -9,7 +9,7 @@ same quadrature, so it is exactly the energy the integrator sees.
 
 On the grid x_i = a + i L / m the basis is a length-m real DFT, so
 coefficients and grid values are exchanged by one irfft (synthesis) and one
-rfft (analysis): the nonlinear term costs O(m log m) per stage.  At m = 2N
+rfft (analysis): the nonlinear term costs O(m log m) per row.  At m = 2N
 the top cosine mode lands in the Nyquist bin and the top sine mode samples
 to zero, the aliasing documented in build_fourier.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -170,7 +171,9 @@ def eval_solution(basis: FourierBasis, coefficients: np.ndarray, xs) -> np.ndarr
 def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wave") -> SemiDiscreteSystem:
     """Spectral system of dim 2(2N+1); initial coefficients in descriptor['y0'].
 
-    H = p.p/2 + q.Dq/2 + (L/m) sum f(u(x_i)); pdot = -Dq - nonlinear_term(q).
+    H = p.p/2 + q.Dq/2 + (L/m) sum f(u(x_i)); pdot = -Dq - nonlinear_term(q),
+    with L = D, accel = -f'(u) on the m-point grid, and the synthesis and
+    analysis transforms as the grid maps.
     Requires m >= 2N: the quadrature then resolves all quadratic products
     except, at exactly m = 2N, the top sine mode, which samples to zero on
     the grid (its coefficient decouples linearly; harmless for spectrally
@@ -191,8 +194,8 @@ def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wa
         elastic = math.fsum((0.5 * diag * q * q).tolist())
         return kinetic + elastic + (length / m) * math.fsum(f(u).tolist())
 
-    def accel(stages, times):
-        return -stages * diag[None, :] - nonlinear_term(spec, stages)
+    def accel(grid, times):
+        return -fprime(grid)
 
     def linear_operator(stages):
         return stages * diag[None, :]
@@ -201,7 +204,10 @@ def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wa
         weights = 1.0 + h_rho * h_rho * diag
         return lambda rows: rows / weights[None, :]
 
-    form = SeparableForm(nq=dim, accel=accel, make_preconditioner=make_preconditioner, linear_operator=linear_operator)
+    form = SeparableForm(
+        nq=dim, accel=accel, make_preconditioner=make_preconditioner, linear_operator=linear_operator,
+        to_grid=partial(_synthesis, spec), from_grid=partial(_analysis, spec),
+    )
     return separable_system(
         form,
         1.0,

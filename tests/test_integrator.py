@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -141,7 +143,7 @@ class TestCoefficientSolvers:
         norms = []
         for _ in range(8):
             stages = base + h * h * (stage_w @ coeffs)
-            update = weighted @ sep.accel(stages, np.zeros(5)) - coeffs
+            update = weighted @ sep.pdot(stages, np.zeros(5)) - coeffs
             part = tab.blend @ update
             delta = solve_m(part + solve_m(update - part))
             coeffs = coeffs + delta
@@ -277,6 +279,20 @@ class TestFailFast:
         with pytest.raises(ValueError):
             integrate_explicit(system, y0, h, n_steps, composition_scheme(4))
         assert calls == []
+
+    def test_non_contracting_iteration_stops_before_overflow(self):
+        # NLS N=64 at h = 0.01 lies far past the fixed-point limit near
+        # dx^2/2; at h = 0.005 the update stalls, then grows too slowly to
+        # pass the first one, and the solve ends on max_iter
+        system, y0 = problems.nls_system(N=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailure, match="diverging") as fail:
+                integrate(system, y0, 0.01, 5, HBVMMethod(5, 1))
+        assert fail.value.step_index == 2
+        assert fail.value.diagnostics.iterations < 100
+        with pytest.raises(StepFailure, match="did not converge in 100 iterations"):
+            integrate(system, y0, 0.005, 40, HBVMMethod(5, 1))
 
     @pytest.mark.parametrize(
         "name,mode",
@@ -414,6 +430,15 @@ class TestRKEquivalence:
         np.testing.assert_allclose(rec.final_state, y_rk, atol=1e-12)
 
 
+_MODE_SYSTEMS = {
+    "periodic-fd2": lambda: problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd2", N=48),
+    "periodic-fd6": lambda: problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd6", N=48),
+    "dirichlet-fd2": lambda: problems.sine_gordon_system(gamma=1.0, bc="dirichlet", scheme="fd2", N=48),
+    "neumann-fd2": lambda: problems.sine_gordon_system(gamma=1.0, bc="neumann", scheme="fd2", N=48),
+    "fourier": lambda: problems.sine_gordon_system(gamma=1.0, scheme="fourier", N=16, m=32),
+}
+
+
 class TestIntegrate:
     def test_zero_steps(self):
         system = problems.harmonic_oscillator()
@@ -422,16 +447,31 @@ class TestIntegrate:
         np.testing.assert_array_equal(rec.states, [y0])
         np.testing.assert_array_equal(rec.drift, [0.0])
 
-    def test_solver_mode_independence(self):
-        system, y0 = problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd2", N=48)
+    @pytest.mark.parametrize("name", sorted(_MODE_SYSTEMS))
+    @pytest.mark.parametrize("k,s", [(4, 1), (4, 2)], ids=["4-1", "4-2"])
+    def test_solver_mode_independence(self, name, k, s):
+        # s = 1 runs the blended closed form, s = 2 the two-solve correction;
+        # the boundary forcing and the Fourier grid maps sit inside the loop
+        system, y0 = _MODE_SYSTEMS[name]()
         tol = 1e-14
         results = {}
         for mode in ("fixed-point", "blended", "simplified-newton-dense"):
-            y1, _ = step(system, y0, 0.02, HBVMMethod(4, 2), SolverConfig(mode=mode, tol=tol))
+            y1, _ = step(system, y0, 0.02, HBVMMethod(k, s), SolverConfig(mode=mode, tol=tol))
             results[mode] = y1
         ref = results["fixed-point"]
         for mode, y1 in results.items():
             assert np.max(np.abs(y1 - ref)) <= 100 * tol * (1 + np.max(np.abs(y0))), mode
+
+    @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+    @pytest.mark.parametrize("k,s", [(5, 1), (6, 2)])
+    def test_fine_mesh_converges_below_tol(self, bc, k, s):
+        # at dx = 0.0125 the stiff operator is O(1/dx^2); its rounding stays
+        # out of the iterates, so every step meets tol itself, not a floor
+        system, y0 = problems.sine_gordon_system(gamma=1.0, bc=bc, scheme="fd2", N=3200)
+        cfg = SolverConfig()
+        rec = integrate(system, y0, 0.0125, 10, HBVMMethod(k, s), cfg, record_stride=0)
+        assert np.all(rec.residuals <= cfg.tol)
+        assert np.max(np.abs(rec.drift)) <= 1e-13
 
     def test_observer_and_stride(self):
         system = problems.harmonic_oscillator()

@@ -88,6 +88,51 @@ class TestRhs:
             assert system.gradient(np.ones(system.dim, dtype=int)).dtype == float, name
 
 
+def _closed_force_formulas():
+    """(system, pdot oracle) per builder: the force as one closed formula."""
+    from hbvm.wave_fourier import nonlinear_term
+
+    out = {}
+    for scheme in ("fd2", "fd4", "fd6"):
+        system, _ = problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme=scheme, N=40)
+        op, dx = system.descriptor["stencil"], system.descriptor["dx"]
+        out[f"periodic-{scheme}"] = (system, lambda q, t, op=op, dx=dx: -op.apply(q) / dx**2 - np.sin(q))
+    for bc in ("dirichlet", "neumann"):
+        system, _ = problems.sine_gordon_system(gamma=1.0, bc=bc, scheme="fd2", N=40)
+        op, dx = system.descriptor["stencil"], system.descriptor["dx"]
+        data = problems.sine_gordon_boundary_data(1.0, bc)
+
+        def force(q, t, op=op, dx=dx, data=data, bc=bc):
+            f = -op.apply(q) / dx**2 - np.sin(q)
+            if bc == "dirichlet":
+                f[:, 0] += data.left(t) / dx**2
+                f[:, -1] += data.right(t) / dx**2
+            else:
+                f[:, 0] -= data.left(t) / dx
+                f[:, -1] += data.right(t) / dx
+            return f
+
+        out[bc] = (system, force)
+    system, _ = problems.sine_gordon_system(gamma=1.0, scheme="fourier", N=12, m=32)
+    spec = system.descriptor["spectral"]
+    diag = spec.basis.stiffness_diagonal()
+    out["fourier"] = (system, lambda q, t: -q * diag - nonlinear_term(spec, q))
+    out["harmonic"] = (problems.harmonic_oscillator(omega=2.0), lambda q, t: -4.0 * q)
+    return out
+
+
+class TestForceContract:
+    @pytest.mark.parametrize("name", sorted(_closed_force_formulas()))
+    def test_pdot_is_the_closed_force_formula(self, name, rng):
+        # pdot = from_grid(accel(to_grid(q), t)) - L q is the whole force
+        system, force = _closed_force_formulas()[name]
+        sep = system.separable
+        q = rng.standard_normal((5, sep.nq))
+        t = rng.uniform(0.0, 2.0, size=5)
+        want = force(q, t)
+        np.testing.assert_allclose(sep.pdot(q, t), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
 class TestGradientContract:
     def test_gradient_matches_finite_differences(self, rng):
         # componentwise central differences at perturbation 1e-6; the
