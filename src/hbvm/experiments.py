@@ -67,7 +67,7 @@ class RunConfig:
     h: float = 0.1
     steps: int = 1000
     solver: str = "auto"
-    tol: float = 1e-14
+    tol: float = SolverConfig.tol
     max_iter: int = 100
     stride: int = 10
     out: Optional[str] = None

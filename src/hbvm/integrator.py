@@ -102,24 +102,16 @@ class SolverConfig:
     """Nonlinear solver settings.
 
     mode "auto" resolves to blended for separable systems with a stiffness
-    preconditioner and to fixed-point otherwise.  Convergence is declared on
-    the max-norm of the coefficient update relative to 1 + |y0|_inf, either
-    below tol or stagnating at the floating-point floor within
-    stall_factor * tol.  An update larger than the first one stops the solve
-    as diverging.  The separable solve keeps the stiff operator out of its
-    stage rows, so its updates reach tol on fine meshes too.  The generic
-    (NLS) path applies its grid operator to the stage states, which puts
-    rounding noise amplified by 1/dx into the stage targets, so on fine
-    meshes its iterates end in a small limit cycle around the root (about
-    1e-12 relative at dx ~ 1e-2); an update that stops shrinking inside the
-    cap is accepted, one that stalls higher is a failure.  Measured energy
-    drift is unaffected by floor acceptance.
+    preconditioner and to fixed-point otherwise.  A step is accepted when
+    the last update changes its output by at most tol relative to
+    1 + |y0|_inf.  The default, about ten rounding units, falls between the
+    residuals of successive iterations on the sine-Gordon and NLS runs, so
+    their iteration counts do not flip with small changes of the data.
     """
 
     mode: str = "auto"
-    tol: float = 1e-14
+    tol: float = 2e-15
     max_iter: int = 100
-    stall_factor: float = 500.0
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -180,17 +172,6 @@ class TrajectoryRecord:
         return self.states[-1]
 
 
-def _accept(residual: float, previous: float, iteration: int, cfg: SolverConfig) -> bool:
-    """Converged, or stagnating inside the roundoff floor near the root."""
-    if residual <= cfg.tol:
-        return True
-    return (
-        iteration >= 3
-        and residual <= cfg.stall_factor * cfg.tol
-        and residual >= 0.5 * previous
-    )
-
-
 def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a row-wise map: all 2n probes in two calls."""
     eps = 1e-7 * (1.0 + np.abs(y))
@@ -204,18 +185,23 @@ def _lu_correction(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda update: scipy.linalg.lu_solve(lu, update.ravel(), check_finite=False).reshape(update.shape)
 
 
-def _iterate(target, correct, shape, y0, cfg: SolverConfig, mode: str):
+def _iterate(target, correct, shape, y0, h, cfg: SolverConfig, mode: str):
     """The stage-coefficient loop that every solver mode runs.
 
     target(coeffs) is the fixed-point map; correct(update), if given, turns
     its update into the blended or Newton step (plain fixed point otherwise).
-    An unaccepted update larger than the first one, which is the size of the
-    whole solution, means the iteration does not contract: the solve stops
-    there, before the iterates overflow.
+    The residual is the change the update makes to the step's output y1,
+    h max(1, h) max|update| relative to 1 + |y0|_inf (y1 takes h c_0 on the
+    momenta or the whole state, h^2 c on the positions), and the solve stops
+    when it is at most tol.  The solve stops as diverging, before the
+    iterates overflow, once ten iterations pass without a new smallest
+    update or an update exceeds the first one, which is the size of the
+    whole solution.  Updates that oscillate on their way down set a new
+    smallest one every few iterations and pass.
     """
-    scale = 1.0 + float(np.max(np.abs(y0)))
+    scale = h * max(1.0, h) / (1.0 + float(np.max(np.abs(y0))))
     coeffs = np.zeros(shape)
-    residual = np.inf
+    smallest, best = np.inf, 0
     for iteration in range(1, cfg.max_iter + 1):
         new = target(coeffs)
         update = new - coeffs
@@ -224,27 +210,26 @@ def _iterate(target, correct, shape, y0, cfg: SolverConfig, mode: str):
         else:
             update = correct(update)
             coeffs = coeffs + update
-        previous = residual
-        residual = float(np.max(np.abs(update))) / scale
+        residual = float(np.max(np.abs(update))) * scale
+        diag = StepDiagnostics(iterations=iteration, residual=residual, mode=mode)
+        if residual <= cfg.tol:
+            return coeffs, diag
         if not math.isfinite(residual):
-            raise SolverError(
-                f"{mode} stage solve hit a non-finite residual at iteration {iteration}",
-                StepDiagnostics(iterations=iteration, residual=residual, mode=mode),
-            )
-        if _accept(residual, previous, iteration, cfg):
-            return coeffs, StepDiagnostics(iterations=iteration, residual=residual, mode=mode)
+            raise SolverError(f"{mode} stage solve hit a non-finite residual at iteration {iteration}", diag)
         if iteration == 1:
             first = residual
-        elif residual > first:
+        if residual < smallest:
+            smallest, best = residual, iteration
+        elif residual > first or iteration - best >= 10:
             raise SolverError(
-                f"{mode} stage solve is diverging: residual {residual:.3e} at iteration {iteration} "
-                f"exceeds {first:.3e} at iteration 1; reduce h or switch solver mode",
-                StepDiagnostics(iterations=iteration, residual=residual, mode=mode),
+                f"{mode} stage solve is diverging: residual {residual:.3e} at iteration {iteration}, "
+                f"smallest {smallest:.3e} at iteration {best}; reduce h or switch solver mode",
+                diag,
             )
     raise SolverError(
         f"{mode} stage solve did not converge in {cfg.max_iter} iterations "
         f"(residual {residual:.3e}); reduce h or switch solver mode",
-        StepDiagnostics(iterations=cfg.max_iter, residual=residual, mode=mode),
+        diag,
     )
 
 
@@ -311,7 +296,7 @@ def _separable_coefficients(system, y0, h, method, cfg, mode):
             jac = -_fd_jacobian(lambda rows: sep.pdot(rows, np.full(len(rows), times[0])), q0)
         correct = _lu_correction(np.eye(tab.s * nq) + h * h * np.kron(xs2, jac))
 
-    coeffs, diag = _iterate(target, correct, (tab.s, nq), y0, cfg, mode)
+    coeffs, diag = _iterate(target, correct, (tab.s, nq), y0, h, cfg, mode)
     return coeffs, diag, positions
 
 
@@ -355,7 +340,7 @@ def _generic_coefficients(system, y0, h, method, cfg, mode):
     if mode == "simplified-newton-dense":
         jac = _fd_jacobian(system.rhs, y0)
         correct = _lu_correction(np.eye(tab.s * dim) - h * np.kron(tab.integration_matrix, jac))
-    return _iterate(target, correct, (tab.s, dim), y0, cfg, mode)
+    return _iterate(target, correct, (tab.s, dim), y0, h, cfg, mode)
 
 
 # ---------------------------------------------------------------------------
