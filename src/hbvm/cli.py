@@ -23,7 +23,7 @@ from .experiments import (
     run_solve,
     run_work_precision,
 )
-from .integrator import SolverError, StepFailure
+from .integrator import MODES, SolverError, StepFailure
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
 
@@ -40,7 +40,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("-s", type=int, dest="s", help="polynomial degree of the method")
     parser.add_argument("--h", type=float, dest="h", help="stepsize")
     parser.add_argument("--steps", type=int, help="number of steps")
-    parser.add_argument("--solver", choices=["auto", "fixed-point", "blended", "simplified-newton-dense"])
+    parser.add_argument("--solver", choices=("auto",) + MODES)
     parser.add_argument("--tol", type=float, help="nonlinear solver tolerance")
     parser.add_argument("--max-iter", type=int, dest="max_iter")
     parser.add_argument("--stride", type=int, help="state recording stride")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels, problems
 from .comparators import composition_scheme, integrate_explicit
-from .integrator import HBVMMethod, SolverConfig, StepFailure, TrajectoryRecord, integrate
+from .integrator import MODES, HBVMMethod, SolverConfig, StepFailure, TrajectoryRecord, integrate
 from .wave_fourier import _synthesis
 
 __all__ = [
@@ -102,7 +102,7 @@ class RunConfig:
             self.method()
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        if self.solver not in ("auto", "fixed-point", "blended", "simplified-newton-dense"):
+        if self.solver not in ("auto",) + MODES:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a path prefix string, got {self.out!r}")

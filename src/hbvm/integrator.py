@@ -16,11 +16,10 @@ out of the iterates (see _separable_coefficients for F, B and Q0).
 Non-separable systems use the full-state analogue of the same fixed point.
 
 Three solvers share these equations and one iteration loop: plain
-fixed-point iteration, the blended iteration (a cheap approximate inverse of
-the simplified-Newton matrix I + h^2 X^2 (x) L built from two solves
-with the exact preconditioner M = I + (h rho)^2 L for s >= 2; at s = 1 the
-blend is 1 and the blended step is the closed form g <- M^-1 (F(g) - L B Q0),
-one solve with no L in the loop), and a dense simplified-Newton oracle for
+fixed-point iteration, the blended step (the simplified-Newton step on the
+stiff linear part, g <- (I + h^2 X^2 (x) L)^-1 (F(g) - L B Q0): one exact
+solve on the s coefficient rows per iteration, with no L in the loop, from
+the system's make_preconditioner), and a dense simplified-Newton oracle for
 validation.
 """
 
@@ -179,25 +178,30 @@ def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np.nd
     return ((fn(y + probes) - fn(y - probes)) / (2.0 * eps[:, None])).T
 
 
-def _lu_correction(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Dense simplified-Newton correction; non-finite values are left to the loop's check."""
+def _newton(target, matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Dense simplified-Newton map c + M^-1 (target(c) - c); non-finite values are left to the loop's check."""
     lu = scipy.linalg.lu_factor(matrix, check_finite=False)
-    return lambda update: scipy.linalg.lu_solve(lu, update.ravel(), check_finite=False).reshape(update.shape)
+
+    def newton(coeffs):
+        update = target(coeffs) - coeffs
+        return coeffs + scipy.linalg.lu_solve(lu, update.ravel(), check_finite=False).reshape(update.shape)
+
+    return newton
 
 
-def _iterate(target, correct, shape, y0, h, cfg: SolverConfig, mode: str):
-    """The stage-coefficient loop that every solver mode runs.
+def _iterate(target, shape, y0, h, cfg: SolverConfig, mode: str):
+    """The stage-coefficient loop that every solver mode runs: coeffs <- target(coeffs).
 
-    target(coeffs) is the fixed-point map; correct(update), if given, turns
-    its update into the blended or Newton step (plain fixed point otherwise).
-    The residual is the change the update makes to the step's output y1,
+    target is the fixed-point map, the blended step or the Newton map.  The
+    residual is the change the update makes to the step's output y1,
     h max(1, h) max|update| relative to 1 + |y0|_inf (y1 takes h c_0 on the
     momenta or the whole state, h^2 c on the positions), and the solve stops
-    when it is at most tol.  The solve stops as diverging, before the
-    iterates overflow, once ten iterations pass without a new smallest
-    update or an update exceeds the first one, which is the size of the
-    whole solution.  Updates that oscillate on their way down set a new
-    smallest one every few iterations and pass.
+    when it is at most tol.  The solve stops, before the iterates overflow,
+    once ten iterations pass without a new smallest update or an update
+    exceeds the first one, which is the size of the whole solution: as
+    diverging if the update exceeds the first or ten times the smallest,
+    else as stalled above tol (a rounding plateau).  Updates that oscillate
+    on their way down set a new smallest one every few iterations and pass.
     """
     scale = h * max(1.0, h) / (1.0 + float(np.max(np.abs(y0))))
     coeffs = np.zeros(shape)
@@ -205,11 +209,7 @@ def _iterate(target, correct, shape, y0, h, cfg: SolverConfig, mode: str):
     for iteration in range(1, cfg.max_iter + 1):
         new = target(coeffs)
         update = new - coeffs
-        if correct is None:
-            coeffs = new
-        else:
-            update = correct(update)
-            coeffs = coeffs + update
+        coeffs = new
         residual = float(np.max(np.abs(update))) * scale
         diag = StepDiagnostics(iterations=iteration, residual=residual, mode=mode)
         if residual <= cfg.tol:
@@ -221,9 +221,12 @@ def _iterate(target, correct, shape, y0, h, cfg: SolverConfig, mode: str):
         if residual < smallest:
             smallest, best = residual, iteration
         elif residual > first or iteration - best >= 10:
+            state = f"is diverging: residual {residual:.3e}"
+            if residual <= min(first, 10.0 * smallest):
+                state = f"stalled at residual {residual:.3e} above tol {cfg.tol:.1e}"
             raise SolverError(
-                f"{mode} stage solve is diverging: residual {residual:.3e} at iteration {iteration}, "
-                f"smallest {smallest:.3e} at iteration {best}; reduce h or switch solver mode",
+                f"{mode} stage solve {state} at iteration {iteration}, smallest {smallest:.3e} at iteration {best}; "
+                "reduce h or switch solver mode",
                 diag,
             )
     raise SolverError(
@@ -238,7 +241,7 @@ def _iterate(target, correct, shape, y0, h, cfg: SolverConfig, mode: str):
 # ---------------------------------------------------------------------------
 
 def _separable_coefficients(system, y0, h, method, cfg, mode):
-    """(coeffs, diagnostics, positions): positions(coeffs) are the stage positions Q_i.
+    """(coeffs, diagnostics, finish): finish(coeffs) is the step's output y1.
 
     The stage positions are Q = Q0 + h^2 W c with Q0_i = q0 + c_i h p0 (base)
     and W = stage_weights, and B = weighted_basis has B W = X^2.  So the
@@ -262,9 +265,6 @@ def _separable_coefficients(system, y0, h, method, cfg, mode):
     lin_base = lin(tab.weighted_basis @ base)
     xs2 = tab.integration_matrix @ tab.integration_matrix
 
-    def positions(coeffs):
-        return base + h * h * (tab.stage_weights @ coeffs)
-
     def forces(coeffs):
         grid = grid_base + h * h * (tab.stage_weights @ to_grid(coeffs))
         return from_grid(tab.weighted_basis @ sep.accel(grid, times)) - lin_base
@@ -272,57 +272,39 @@ def _separable_coefficients(system, y0, h, method, cfg, mode):
     def target(coeffs):
         return forces(coeffs) - lin(h * h * (xs2 @ coeffs))
 
-    correct = None
     if mode == "blended":
         if sep.make_preconditioner is None:
             raise SolverError("blended mode unsupported: system has no stiffness preconditioner")
-        solve_m = sep.make_preconditioner(h * tab.rho)
-        if tab.s == 1:
-            # rho^2 = X^2 = 1/4, so the blended step c + M^-1 (target(c) - c)
-            # is the exact simplified-Newton step M^-1 (F(c) - L(B Q0)), with no
-            # L in the loop.
-            def target(coeffs):
-                return solve_m(forces(coeffs))
+        solve = sep.make_preconditioner(h * h * xs2)
 
-        else:
-            def correct(update):
-                part = tab.blend @ update
-                return solve_m(part + solve_m(update - part))
+        def target(coeffs):
+            return solve(forces(coeffs))
 
     elif mode == "simplified-newton-dense":
         if sep.linear_operator is not None:
             jac = sep.linear_operator(np.eye(nq)).T
         else:
             jac = -_fd_jacobian(lambda rows: sep.pdot(rows, np.full(len(rows), times[0])), q0)
-        correct = _lu_correction(np.eye(tab.s * nq) + h * h * np.kron(xs2, jac))
+        target = _newton(target, np.eye(tab.s * nq) + h * h * np.kron(xs2, jac))
 
-    coeffs, diag = _iterate(target, correct, (tab.s, nq), y0, h, cfg, mode)
-    return coeffs, diag, positions
+    def finish(coeffs):
+        y1 = np.empty_like(y0)
+        y1[nq : 2 * nq] = p0 + h * coeffs[0]
+        y1[:nq] = q0 + h * p0 + h * h * np.dot(tab.integration_matrix[0], coeffs)
+        if system.augmented:
+            stage_q = base + h * h * (tab.stage_weights @ coeffs)
+            stage_p = p0[None, :] + h * (tab.node_integrals @ coeffs)
+            y1[2 * nq] = t0 + h
+            y1[2 * nq + 1] = y0[2 * nq + 1] + h * float(tab.weights @ sep.aug_rate(stage_q, stage_p, times))
+        return y1
+
+    coeffs, diag = _iterate(target, (tab.s, nq), y0, h, cfg, mode)
+    return coeffs, diag, finish
 
 
 def _separable_step(system, y0, h, method, cfg, mode):
-    coeffs, diag, positions = _separable_coefficients(system, y0, h, method, cfg, mode)
-    sep = system.separable
-    nq = sep.nq
-    tab = method.tables
-    q0 = y0[:nq]
-    p0 = y0[nq : 2 * nq]
-
-    y1 = np.empty_like(y0)
-    y1[nq : 2 * nq] = p0 + h * coeffs[0]
-    correction = 0.5 * coeffs[0]
-    if tab.s > 1:
-        correction = correction - tab.xi1 * coeffs[1]
-    y1[:nq] = q0 + h * p0 + h * h * correction
-
-    if system.augmented:
-        t0 = y0[2 * nq]
-        times = t0 + tab.nodes * h
-        stage_p = p0[None, :] + h * (tab.node_integrals @ coeffs)
-        rates = sep.aug_rate(positions(coeffs), stage_p, times)
-        y1[2 * nq] = t0 + h
-        y1[2 * nq + 1] = y0[2 * nq + 1] + h * float(tab.weights @ rates)
-    return y1, diag
+    coeffs, diag, finish = _separable_coefficients(system, y0, h, method, cfg, mode)
+    return finish(coeffs), diag
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +318,10 @@ def _generic_coefficients(system, y0, h, method, cfg, mode):
     def target(coeffs):
         return tab.weighted_basis @ system.rhs(y0 + h * (tab.node_integrals @ coeffs))
 
-    correct = None
     if mode == "simplified-newton-dense":
         jac = _fd_jacobian(system.rhs, y0)
-        correct = _lu_correction(np.eye(tab.s * dim) - h * np.kron(tab.integration_matrix, jac))
-    return _iterate(target, correct, (tab.s, dim), y0, h, cfg, mode)
+        target = _newton(target, np.eye(tab.s * dim) - h * np.kron(tab.integration_matrix, jac))
+    return _iterate(target, (tab.s, dim), y0, h, cfg, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +361,7 @@ def solve_coefficients_fixed_point(system, y0, h, method, cfg=SolverConfig()):
 
 
 def solve_coefficients_blended(system, y0, h, method, cfg=SolverConfig()):
-    """Stage derivative coefficients by the blended iteration (separable only)."""
+    """Stage derivative coefficients by the blended step (separable only)."""
     y0 = _checked_inputs(system, y0, h)
     if system.separable is None:
         raise SolverError("blended mode unsupported: system is not separable")

@@ -4,8 +4,9 @@ The polynomial basis used throughout is the L2-orthonormal shifted Legendre
 family P_j on [0,1] (deg P_j = j, int_0^1 P_i P_j = delta_ij).  A method
 HBVM(k,s) is assembled from the k-node Gauss rule of this family together
 with the k x s matrices of basis values and basis antiderivatives at the
-nodes; their product gives the s x s tridiagonal integration matrix whose
-smallest eigenvalue modulus drives the blended preconditioner.
+nodes; their product gives the s x s tridiagonal integration matrix X,
+whose square shifts the stiff operator L in the blended stage solve,
+I + h^2 X^2 (x) L.
 """
 
 from __future__ import annotations
@@ -155,13 +156,10 @@ class HBVMTables:
     node_integrals[i,j] = int_0^{c_i} P_j     (k x s)
     integration_matrix  = node_values^T diag(b) node_integrals  (s x s, exact
                           tridiagonal form for k >= s)
-    rho                 = min |lambda| over its spectrum
     weighted_basis      = (diag(b) node_values)^T  (s x k): stage values to
                           Legendre coefficients
     stage_weights       = node_integrals integration_matrix  (k x s): the
                           h^2 term of the stage positions
-    blend               = rho^2 integration_matrix^-2  (s x s): left factor
-                          of the blended update
     """
 
     k: int
@@ -170,10 +168,8 @@ class HBVMTables:
     node_values: np.ndarray
     node_integrals: np.ndarray
     integration_matrix: np.ndarray
-    rho: float
     weighted_basis: np.ndarray
     stage_weights: np.ndarray
-    blend: np.ndarray
 
     @property
     def nodes(self) -> np.ndarray:
@@ -182,11 +178,6 @@ class HBVMTables:
     @property
     def weights(self) -> np.ndarray:
         return self.rule.weights
-
-    @property
-    def xi1(self) -> float:
-        """Off-diagonal coefficient used by the end-of-step position update."""
-        return 0.5 / np.sqrt(3.0) if self.s > 1 else 0.0
 
 
 @lru_cache(maxsize=None)
@@ -197,12 +188,9 @@ def _hbvm_tables_cached(k: int, s: int) -> HBVMTables:
         [shifted_legendre_antiderivative(j, rule.nodes) for j in range(s)]
     )
     xs = _integration_matrix(s)
-    rho = float(np.min(np.abs(np.linalg.eigvals(xs))))
-    inv = np.linalg.inv(xs)
     weighted_basis = (vals * rule.weights[:, None]).T
     stage_weights = ints @ xs
-    blend = rho**2 * (inv @ inv)
-    for table in (vals, ints, xs, weighted_basis, stage_weights, blend):
+    for table in (vals, ints, xs, weighted_basis, stage_weights):
         table.setflags(write=False)
     return HBVMTables(
         k=k,
@@ -211,10 +199,8 @@ def _hbvm_tables_cached(k: int, s: int) -> HBVMTables:
         node_values=vals,
         node_integrals=ints,
         integration_matrix=xs,
-        rho=rho,
         weighted_basis=weighted_basis,
         stage_weights=stage_weights,
-        blend=blend,
     )
 
 

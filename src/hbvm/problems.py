@@ -10,9 +10,11 @@ oracles.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .systems import SemiDiscreteSystem, SeparableForm, SkewStructure, separable_system
+from .systems import SemiDiscreteSystem, SeparableForm, SkewStructure, separable_system, shifted_solver
 from .wave_fd import (
     BoundaryData,
     build_dirichlet,
@@ -266,11 +268,7 @@ def _oscillator(hamiltonian, accel, linear=None):
         def linear_rows(stages):
             return linear * stages
 
-        def make_preconditioner(h_rho):
-            w = 1.0 + h_rho * h_rho * linear
-            return lambda rows: rows / w
-
-        hooks = {"linear_operator": linear_rows, "make_preconditioner": make_preconditioner}
+        hooks = {"linear_operator": linear_rows, "make_preconditioner": partial(shifted_solver, eigenvalues=[linear])}
     return separable_system(SeparableForm(nq=1, accel=accel, **hooks), 1.0, hamiltonian, {"name": "oscillator"})
 
 

@@ -29,7 +29,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["SkewStructure", "SeparableForm", "SemiDiscreteSystem", "separable_system", "hamiltonian_drift"]
+__all__ = ["SkewStructure", "SeparableForm", "SemiDiscreteSystem", "separable_system", "shifted_solver",
+           "hamiltonian_drift"]
 
 
 @dataclass(frozen=True)
@@ -73,14 +74,14 @@ class SeparableForm:
     boundary forcing.  to_grid and from_grid are the linear maps between the
     rows of q and grid values (Fourier synthesis and trapezoidal analysis);
     ``None`` means the identity, as for finite differences, whose unknowns
-    are the grid values.  make_preconditioner(h_rho) returns an exact
-    row-wise solver for I + (h_rho)^2 * L.  aug_rate gives ptdot at the
-    stages of augmented systems.
+    are the grid values.  make_preconditioner(shift) returns an exact solver
+    of (I + shift (x) L) c = r on s coefficient rows for an s x s shift (h^2
+    X^2), leaving r untouched.  aug_rate gives ptdot at augmented stages.
     """
 
     nq: int
     accel: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    make_preconditioner: Optional[Callable[[float], Callable[[np.ndarray], np.ndarray]]] = None
+    make_preconditioner: Optional[Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None
     linear_operator: Optional[Callable[[np.ndarray], np.ndarray]] = None
     aug_rate: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     to_grid: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -151,6 +152,35 @@ def separable_system(form, scale, hamiltonian, descriptor, physical_hamiltonian=
         dim=skew.dim, skew=skew, hamiltonian=hamiltonian, gradient=gradient, descriptor=descriptor,
         separable=form, physical_hamiltonian=physical_hamiltonian,
     )
+
+
+def shifted_solver(shift, eigenvalues, to_modes=None, from_modes=None) -> Callable[[np.ndarray], np.ndarray]:
+    """Solver of (I + shift (x) L) c = r on s rows, for L = from_modes diag(eigenvalues) to_modes.
+
+    The modes lie on the last axis (maps ``None``: L is diagonal in the rows).  Their s x s blocks
+    I + eigenvalue * shift are factored together by LU without pivoting: for L >= 0 and shift = h^2 X^2,
+    s <= 6, no pivot falls below 0.018 of its block's largest entry.  At s = 1 a solve is one divide.
+    """
+    s = len(shift)
+    lu = np.multiply.outer(shift, eigenvalues)
+    pivots = lu.reshape(s * s, -1)[:: s + 1]  # the diagonals of the blocks, a view
+    pivots += 1.0
+    for j in range(s - 1):
+        lu[j + 1 :, j] /= lu[j, j]
+        lu[j + 1 :, j + 1 :] -= lu[j + 1 :, j, None] * lu[j, None, j + 1 :]
+    # (L D U')^-1 r = U'^-1 L'^-1 D^-1 r, with L' = D^-1 L D and U' = D^-1 U of unit diagonal
+    lower = [(i, j, lu[i, j] * lu[j, j] / lu[i, i]) for i in range(s) for j in range(i)]
+    upper = [(i, j, lu[i, j] / lu[i, i]) for i in reversed(range(s)) for j in range(i + 1, s)]
+
+    def solve(rows: np.ndarray) -> np.ndarray:
+        z = (rows if to_modes is None else to_modes(rows)) / pivots
+        for i, j, factor in lower:
+            z[i] -= factor * z[j]
+        for i, j, factor in upper:
+            z[i] -= factor * z[j]
+        return z if from_modes is None else from_modes(z)
+
+    return solve
 
 
 def hamiltonian_drift(system: SemiDiscreteSystem, states) -> np.ndarray:

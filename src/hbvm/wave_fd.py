@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
+import scipy.linalg.lapack
 
 from . import kernels
-from .systems import SemiDiscreteSystem, SeparableForm, separable_system
+from .systems import SemiDiscreteSystem, SeparableForm, separable_system, shifted_solver
 
 __all__ = [
     "StencilOperator",
@@ -85,10 +87,6 @@ class StencilOperator:
         diag[0] = diag[-1] = 1.0 + self.corner
         return diag
 
-    def offdiagonal(self) -> float:
-        """First off-diagonal entry of T."""
-        return -float(self.weights[0])
-
     def symbol(self) -> np.ndarray:
         """Circulant eigenvalues t_j = sum_r w_r (2 - 2 cos(2 pi j r / n))."""
         if self.bc != "periodic":
@@ -133,12 +131,35 @@ class BoundaryData:
                 raise ValueError("boundary values and derivatives must all be callable")
 
 
+def _banded_solver(shift: np.ndarray, diag: np.ndarray):
+    """Solver of (I + shift (x) T) c = r on s rows for a tridiagonal T (off-diagonal -1).
+
+    Node-major (c[a, m] at m s + a) the matrix is banded with half-bandwidth 2s - 1;
+    LAPACK factors the band once (gbtrf), and each solve reuses the factor (gbtrs).
+    """
+    s, n = len(shift), diag.size
+    width = 2 * s - 1
+    band = np.zeros((3 * width + 1, n, s))  # LAPACK band storage; the columns are (node m, stage b)
+    a, b = np.indices((s, s))
+    diagonal_blocks, side_blocks = np.eye(s)[:, :, None] + shift[:, :, None] * diag, -shift[:, :, None]
+    for offset, block in ((0, diagonal_blocks), (-1, side_blocks), (1, side_blocks)):  # at row node m + offset
+        nodes = np.arange(max(0, -offset), n - max(0, offset))
+        band[(2 * width + offset * s + a - b)[:, :, None], nodes, b[:, :, None]] = block
+    lu, pivots, _ = scipy.linalg.lapack.dgbtrf(band.reshape(len(band), n * s), width, width)
+
+    def solve(rows: np.ndarray) -> np.ndarray:
+        x, _ = scipy.linalg.lapack.dgbtrs(lu, width, width, rows.T.reshape(n * s, 1), pivots)
+        return x.reshape(n, s).T
+
+    return solve
+
+
 def _stencil_system(op: StencilOperator, domain, x, name, hamiltonian, accel, aug_rate=None, physical_hamiltonian=None):
     """Separable system of the stencil T/dx^2 with the given energy and forces.
 
     linear_operator applies T/dx^2, and accel is the rest of the force on
-    the grid; the preconditioner solves I + (h_rho/dx)^2 T exactly: by FFT
-    for circulant T, by a tridiagonal solve otherwise.
+    the grid; the preconditioner solves I + shift (x) T/dx^2 exactly: mode by
+    mode of the FFT for circulant T, by a banded LU otherwise.
     """
     dx = op.dx
 
@@ -146,25 +167,13 @@ def _stencil_system(op: StencilOperator, domain, x, name, hamiltonian, accel, au
         return op.apply(stages) / dx**2
 
     if op.bc == "periodic":
-        symbol = op.symbol()[: op.n // 2 + 1]
-
-        def make_preconditioner(h_rho: float):
-            m = 1.0 + (h_rho / dx) ** 2 * symbol
-
-            def solve(rows: np.ndarray) -> np.ndarray:
-                spec = np.fft.rfft(rows, axis=1)
-                spec /= m
-                return np.fft.irfft(spec, n=op.n, axis=1)
-
-            return solve
-
+        rfft, irfft = partial(np.fft.rfft, axis=1), partial(np.fft.irfft, n=op.n, axis=1)
+        solver = partial(shifted_solver, eigenvalues=op.symbol()[: op.n // 2 + 1], to_modes=rfft, from_modes=irfft)
     else:
+        solver = partial(_banded_solver, diag=op.diagonal())
 
-        def make_preconditioner(h_rho: float):
-            a = (h_rho / dx) ** 2
-            diag = 1.0 + a * op.diagonal()
-            off = a * op.offdiagonal()
-            return lambda rows: kernels.tridiag_solve_batch(diag, off, rows)
+    def make_preconditioner(shift: np.ndarray):
+        return solver(shift / dx**2)
 
     form = SeparableForm(
         nq=op.n, accel=accel, make_preconditioner=make_preconditioner, linear_operator=linear_operator, aug_rate=aug_rate

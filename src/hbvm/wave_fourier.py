@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .systems import SemiDiscreteSystem, SeparableForm, separable_system
+from .systems import SemiDiscreteSystem, SeparableForm, separable_system, shifted_solver
 
 __all__ = [
     "FourierBasis",
@@ -200,13 +200,9 @@ def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wa
     def linear_operator(stages):
         return stages * diag[None, :]
 
-    def make_preconditioner(h_rho: float):
-        weights = 1.0 + h_rho * h_rho * diag
-        return lambda rows: rows / weights[None, :]
-
     form = SeparableForm(
-        nq=dim, accel=accel, make_preconditioner=make_preconditioner, linear_operator=linear_operator,
-        to_grid=partial(_synthesis, spec), from_grid=partial(_analysis, spec),
+        nq=dim, accel=accel, linear_operator=linear_operator, to_grid=partial(_synthesis, spec),
+        from_grid=partial(_analysis, spec), make_preconditioner=partial(shifted_solver, eigenvalues=diag),
     )
     return separable_system(
         form,

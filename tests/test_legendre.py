@@ -137,17 +137,6 @@ class TestHBVMTables:
         # first coupling coefficient 1/(2 sqrt(3))
         assert hbvm_tables(2, 2).integration_matrix[1, 0] == pytest.approx(0.28867513459481287, abs=1e-15)
 
-    def test_rho_values(self):
-        assert hbvm_tables(1, 1).rho == pytest.approx(0.5, abs=1e-15)
-        # |lambda|^2 = det X_2 = xi_1^2 -> rho_2 = 1/sqrt(12), independent of k
-        for k in (2, 3, 5):
-            assert hbvm_tables(k, 2).rho == pytest.approx(1.0 / np.sqrt(12.0), abs=1e-14)
-
-    def test_rho_is_min_eigenvalue_modulus(self):
-        tab = hbvm_tables(6, 3)
-        lam = np.linalg.eigvals(tab.integration_matrix)
-        assert tab.rho == pytest.approx(np.min(np.abs(lam)), abs=1e-15)
-
     def test_invalid_method_rejected(self):
         with pytest.raises(ValueError):
             hbvm_tables(1, 2)

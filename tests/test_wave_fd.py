@@ -4,6 +4,7 @@ from scipy.integrate import simpson
 
 from conftest import reference_solve
 from hbvm import problems
+from hbvm.legendre import hbvm_tables
 from hbvm.wave_fd import (
     BoundaryData,
     build_dirichlet,
@@ -14,6 +15,15 @@ from hbvm.wave_fd import (
 )
 
 ZERO = lambda u: np.zeros_like(u)
+
+_SHIFTED_SYSTEMS = {
+    "periodic-fd2": lambda: problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd2", N=24)[0],
+    "periodic-fd6": lambda: problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd6", N=24)[0],
+    "dirichlet-fd2": lambda: problems.sine_gordon_system(gamma=1.0, bc="dirichlet", scheme="fd2", N=24)[0],
+    "neumann-fd2": lambda: problems.sine_gordon_system(gamma=1.0, bc="neumann", scheme="fd2", N=24)[0],
+    "fourier": lambda: problems.sine_gordon_system(gamma=1.0, scheme="fourier", N=8, m=16)[0],
+    "harmonic": lambda: problems.harmonic_oscillator(omega=3.0),
+}
 
 
 def build_sg_augmented(bc, N, domain):
@@ -118,15 +128,23 @@ class TestStencilOperator:
         with pytest.raises(ValueError):
             op.diagonal()
 
-    @pytest.mark.parametrize("bc,scheme", [("periodic", "fd2"), ("periodic", "fd6"), ("dirichlet", "fd2"), ("neumann", "fd2")])
-    def test_preconditioner_is_exact(self, bc, scheme, rng):
-        # make_preconditioner(h_rho) inverts I + h_rho^2 T/dx^2, wide stencils included
-        system, _ = problems.sine_gordon_system(gamma=1.0, bc=bc, scheme=scheme, N=24)
-        sep = system.separable
-        h_rho = 2.0 * system.descriptor["dx"]
-        matrix = np.eye(sep.nq) + h_rho**2 * sep.linear_operator(np.eye(sep.nq))
-        rows = rng.standard_normal((3, sep.nq))
-        np.testing.assert_allclose(sep.make_preconditioner(h_rho)(rows) @ matrix, rows, atol=1e-12)
+    @pytest.mark.parametrize("name", sorted(_SHIFTED_SYSTEMS))
+    def test_preconditioner_is_exact(self, name, rng):
+        # make_preconditioner(shift) inverts I + shift (x) L on s rows for the
+        # HBVM shift h^2 X^2, wide stencils, boundaries and spectral L included,
+        # and leaves its argument untouched
+        sep = _SHIFTED_SYSTEMS[name]().separable
+        jac = sep.linear_operator(np.eye(sep.nq)).T
+        for s in (1, 2, 3, 6):
+            xs = hbvm_tables(s, s).integration_matrix
+            for h in (0.05, 2.0, 50.0):
+                shift = h * h * (xs @ xs)
+                dense = np.eye(s * sep.nq) + np.kron(shift, jac)
+                rows = rng.standard_normal((s, sep.nq))
+                kept = rows.copy()
+                expected = np.linalg.solve(dense, rows.ravel()).reshape(s, sep.nq)
+                np.testing.assert_allclose(sep.make_preconditioner(shift)(rows), expected, atol=1e-12)
+                np.testing.assert_array_equal(rows, kept)
 
 
 class TestBuildPeriodic:
