@@ -24,6 +24,7 @@ from .integrator import (
     TrajectoryRecord,
     SolverError,
     StepFailure,
+    Stepper,
     step,
     integrate,
     rk_tableau,
@@ -47,6 +48,7 @@ __all__ = [
     "TrajectoryRecord",
     "SolverError",
     "StepFailure",
+    "Stepper",
     "step",
     "integrate",
     "rk_tableau",

@@ -21,6 +21,7 @@ import numpy as np
 from . import kernels, problems
 from .comparators import composition_scheme, integrate_explicit
 from .integrator import MODES, HBVMMethod, SolverConfig, StepFailure, TrajectoryRecord, integrate
+from .legendre import check_count
 from .wave_fourier import _synthesis
 
 __all__ = [
@@ -87,21 +88,14 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive")
-        for name in ("N", "m", "k", "s", "steps", "stride", "max_iter"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("N", "m", "max_iter"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive integer")
-        if self.steps < 0 or self.stride < 0:
-            raise ConfigError("steps and stride must be nonnegative")
-        if self.scheme == "fourier" and self.m < 2 * self.N:
-            raise ConfigError(f"m={self.m} under-resolves N={self.N}: the Fourier scheme needs m >= 2N")
         try:
+            for name, minimum in (("N", 1), ("m", 1), ("steps", 0), ("stride", 0), ("max_iter", 1)):
+                check_count(name, getattr(self, name), minimum)
             self.method()
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        if self.scheme == "fourier" and self.m < 2 * self.N:
+            raise ConfigError(f"m={self.m} under-resolves N={self.N}: the Fourier scheme needs m >= 2N")
         if self.solver not in ("auto",) + MODES:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.out is not None and not isinstance(self.out, str):

@@ -12,7 +12,7 @@ closes with p1 = p0 + h g_0 and q1 = q0 + h p0 + h^2 (g_0/2 - xi_1 g_1).
 The force is pdot = from_grid(accel(to_grid(q))) - L q with L linear and
 accel pointwise, so L and the grid maps act on the s coefficient rows, only
 accel sees the k stage rows, and the rounding of the stiff operator stays
-out of the iterates (see _separable_coefficients for F, B and Q0).
+out of the iterates (see _separable_solver for F, B and Q0).
 Non-separable systems use the full-state analogue of the same fixed point.
 
 Three solvers share these equations and one iteration loop: plain
@@ -21,6 +21,9 @@ stiff linear part, g <- (I + h^2 X^2 (x) L)^-1 (F(g) - L B Q0): one exact
 solve on the s coefficient rows per iteration, with no L in the loop, from
 the system's make_preconditioner), and a dense simplified-Newton oracle for
 validation.
+
+A Stepper builds what does not depend on the state once per run; step()
+reuses the last Stepper it built while its arguments stay the same.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .legendre import HBVMTables, hbvm_tables
+from .legendre import HBVMTables, check_count, hbvm_tables
 from .systems import SemiDiscreteSystem
 
 __all__ = [
@@ -43,12 +46,11 @@ __all__ = [
     "TrajectoryRecord",
     "SolverError",
     "StepFailure",
+    "Stepper",
     "step",
     "drive",
     "integrate",
     "rk_tableau",
-    "solve_coefficients_fixed_point",
-    "solve_coefficients_blended",
 ]
 
 MODES = ("fixed-point", "blended", "simplified-newton-dense")
@@ -115,8 +117,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError("tol must be finite and positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        check_count("max_iter", self.max_iter, 1)
         if self.mode not in MODES + ("auto",):
             raise ValueError(f"unknown solver mode {self.mode!r}")
 
@@ -178,9 +179,12 @@ def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np.nd
     return ((fn(y + probes) - fn(y - probes)) / (2.0 * eps[:, None])).T
 
 
-def _newton(target, matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Dense simplified-Newton map c + M^-1 (target(c) - c); non-finite values are left to the loop's check."""
-    lu = scipy.linalg.lu_factor(matrix, check_finite=False)
+def _lu(matrix: np.ndarray):
+    return scipy.linalg.lu_factor(matrix, check_finite=False)
+
+
+def _newton(target, lu) -> Callable[[np.ndarray], np.ndarray]:
+    """Dense simplified-Newton map c + M^-1 (target(c) - c), lu = _lu(M); non-finite values are left to the loop's check."""
 
     def newton(coeffs):
         update = target(coeffs) - coeffs
@@ -240,8 +244,8 @@ def _iterate(target, shape, y0, h, cfg: SolverConfig, mode: str):
 # separable path: coefficients of the momentum derivative polynomial
 # ---------------------------------------------------------------------------
 
-def _separable_coefficients(system, y0, h, method, cfg, mode):
-    """(coeffs, diagnostics, finish): finish(coeffs) is the step's output y1.
+def _separable_solver(system, h, tab, cfg, mode):
+    """solve(y0) -> (coeffs, diagnostics, finish), where finish(coeffs) is the step's output y1.
 
     The stage positions are Q = Q0 + h^2 W c with Q0_i = q0 + c_i h p0 (base)
     and W = stage_weights, and B = weighted_basis has B W = X^2.  So the
@@ -252,120 +256,144 @@ def _separable_coefficients(system, y0, h, method, cfg, mode):
     """
     sep = system.separable
     nq = sep.nq
-    tab = method.tables
-    q0 = y0[:nq]
-    p0 = y0[nq : 2 * nq]
-    t0 = y0[2 * nq] if system.augmented else 0.0
-    times = t0 + tab.nodes * h
-    base = q0[None, :] + h * np.outer(tab.nodes, p0)
     to_grid = sep.to_grid or (lambda rows: rows)
     from_grid = sep.from_grid or (lambda rows: rows)
     lin = sep.linear_operator or (lambda rows: 0.0)
-    grid_base = to_grid(base)
-    lin_base = lin(tab.weighted_basis @ base)
     xs2 = tab.integration_matrix @ tab.integration_matrix
-
-    def forces(coeffs):
-        grid = grid_base + h * h * (tab.stage_weights @ to_grid(coeffs))
-        return from_grid(tab.weighted_basis @ sep.accel(grid, times)) - lin_base
-
-    def target(coeffs):
-        return forces(coeffs) - lin(h * h * (xs2 @ coeffs))
-
     if mode == "blended":
-        if sep.make_preconditioner is None:
-            raise SolverError("blended mode unsupported: system has no stiffness preconditioner")
-        solve = sep.make_preconditioner(h * h * xs2)
+        precondition = sep.make_preconditioner(h * h * xs2)
+
+    lu = None
+    if mode == "simplified-newton-dense" and sep.linear_operator is not None:
+        lu = _lu(np.eye(tab.s * nq) + h * h * np.kron(xs2, sep.linear_operator(np.eye(nq)).T))
+
+    def solve(y0):
+        q0 = y0[:nq]
+        p0 = y0[nq : 2 * nq]
+        t0 = y0[2 * nq] if system.augmented else 0.0
+        times = t0 + tab.nodes * h
+        base = q0[None, :] + h * np.outer(tab.nodes, p0)
+        grid_base = to_grid(base)
+        lin_base = lin(tab.weighted_basis @ base)
+
+        def forces(coeffs):
+            grid = grid_base + h * h * (tab.stage_weights @ to_grid(coeffs))
+            return from_grid(tab.weighted_basis @ sep.accel(grid, times)) - lin_base
 
         def target(coeffs):
-            return solve(forces(coeffs))
+            return forces(coeffs) - lin(h * h * (xs2 @ coeffs))
 
-    elif mode == "simplified-newton-dense":
-        if sep.linear_operator is not None:
-            jac = sep.linear_operator(np.eye(nq)).T
-        else:
+        if mode == "blended":
+
+            def target(coeffs):
+                return precondition(forces(coeffs))
+
+        elif mode == "simplified-newton-dense" and lu is None:
             jac = -_fd_jacobian(lambda rows: sep.pdot(rows, np.full(len(rows), times[0])), q0)
-        target = _newton(target, np.eye(tab.s * nq) + h * h * np.kron(xs2, jac))
+            target = _newton(target, _lu(np.eye(tab.s * nq) + h * h * np.kron(xs2, jac)))
+        elif mode == "simplified-newton-dense":
+            target = _newton(target, lu)
 
-    def finish(coeffs):
-        y1 = np.empty_like(y0)
-        y1[nq : 2 * nq] = p0 + h * coeffs[0]
-        y1[:nq] = q0 + h * p0 + h * h * np.dot(tab.integration_matrix[0], coeffs)
-        if system.augmented:
-            stage_q = base + h * h * (tab.stage_weights @ coeffs)
-            stage_p = p0[None, :] + h * (tab.node_integrals @ coeffs)
-            y1[2 * nq] = t0 + h
-            y1[2 * nq + 1] = y0[2 * nq + 1] + h * float(tab.weights @ sep.aug_rate(stage_q, stage_p, times))
-        return y1
+        def finish(coeffs):
+            y1 = np.empty_like(y0)
+            y1[nq : 2 * nq] = p0 + h * coeffs[0]
+            y1[:nq] = q0 + h * p0 + h * h * np.dot(tab.integration_matrix[0], coeffs)
+            if system.augmented:
+                stage_q = base + h * h * (tab.stage_weights @ coeffs)
+                stage_p = p0[None, :] + h * (tab.node_integrals @ coeffs)
+                y1[2 * nq] = t0 + h
+                y1[2 * nq + 1] = y0[2 * nq + 1] + h * float(tab.weights @ sep.aug_rate(stage_q, stage_p, times))
+            return y1
 
-    coeffs, diag = _iterate(target, (tab.s, nq), y0, h, cfg, mode)
-    return coeffs, diag, finish
+        coeffs, diag = _iterate(target, (tab.s, nq), y0, h, cfg, mode)
+        return coeffs, diag, finish
 
-
-def _separable_step(system, y0, h, method, cfg, mode):
-    coeffs, diag, finish = _separable_coefficients(system, y0, h, method, cfg, mode)
-    return finish(coeffs), diag
+    return solve
 
 
 # ---------------------------------------------------------------------------
 # generic path: coefficients of the full state derivative polynomial
 # ---------------------------------------------------------------------------
 
-def _generic_coefficients(system, y0, h, method, cfg, mode):
+def _generic_solver(system, h, tab, cfg, mode):
+    """solve(y0) -> (coeffs, diagnostics, finish) for a non-separable system."""
     dim = system.dim
-    tab = method.tables
 
-    def target(coeffs):
-        return tab.weighted_basis @ system.rhs(y0 + h * (tab.node_integrals @ coeffs))
+    def solve(y0):
+        def target(coeffs):
+            return tab.weighted_basis @ system.rhs(y0 + h * (tab.node_integrals @ coeffs))
 
-    if mode == "simplified-newton-dense":
-        jac = _fd_jacobian(system.rhs, y0)
-        target = _newton(target, np.eye(tab.s * dim) - h * np.kron(tab.integration_matrix, jac))
-    return _iterate(target, (tab.s, dim), y0, h, cfg, mode)
+        if mode == "simplified-newton-dense":
+            jac = _fd_jacobian(system.rhs, y0)
+            target = _newton(target, _lu(np.eye(tab.s * dim) - h * np.kron(tab.integration_matrix, jac)))
+        coeffs, diag = _iterate(target, (tab.s, dim), y0, h, cfg, mode)
+        return coeffs, diag, lambda coeffs: y0 + h * coeffs[0]
+
+    return solve
 
 
 # ---------------------------------------------------------------------------
 # public API
 # ---------------------------------------------------------------------------
 
-def _checked_inputs(system: SemiDiscreteSystem, y0, h: float) -> np.ndarray:
-    """y0 as a float array; rejects a malformed or non-finite state or stepsize."""
+def _check_stepsize(h: float) -> None:
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"stepsize must be finite and positive, got {h}")
+
+
+def _checked_state(system: SemiDiscreteSystem, y0) -> np.ndarray:
+    """y0 as a float array; rejects a malformed or non-finite state."""
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (system.dim,):
         raise ValueError(f"expected state of length {system.dim}, got {y0.shape}")
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"stepsize must be finite and positive, got {h}")
     if not np.all(np.isfinite(y0)):
         raise ValueError("state contains non-finite values")
     return y0
 
 
+class Stepper:
+    """HBVM(k,s) steps of one system at a fixed stepsize and solver setting.
+
+    The constructor checks h, resolves the mode (SolverError for blended
+    without a stiffness preconditioner), and builds X^2, the blended solve
+    make_preconditioner(h^2 X^2) and the dense-mode LU when its Jacobian is
+    the constant L.  A call does only the work that depends on y0.
+    """
+
+    def __init__(self, system: SemiDiscreteSystem, h: float, method: HBVMMethod, cfg: SolverConfig = SolverConfig()):
+        _check_stepsize(h)
+        mode = cfg.resolve_mode(system)
+        sep = system.separable
+        if mode == "blended" and (sep is None or sep.make_preconditioner is None):
+            raise SolverError("blended mode unsupported: system has no stiffness preconditioner")
+        self.system, self.h, self.method, self.cfg = system, h, method, cfg
+        build = _separable_solver if sep is not None else _generic_solver
+        self._solve = build(system, h, method.tables, cfg, mode)
+
+    def __call__(self, y0):
+        """One step from y0 -> (y1, StepDiagnostics)."""
+        coeffs, diag, finish = self._solve(_checked_state(self.system, y0))
+        return finish(coeffs), diag
+
+    def coefficients(self, y0) -> np.ndarray:
+        """The s stage derivative coefficient rows of the step from y0."""
+        return self._solve(_checked_state(self.system, y0))[0]
+
+
+_last_stepper: Optional[Stepper] = None
+
+
 def step(system: SemiDiscreteSystem, y0, h: float, method: HBVMMethod, cfg: SolverConfig = SolverConfig()):
-    """One HBVM(k,s) step from y0 with stepsize h -> (y1, StepDiagnostics)."""
-    y0 = _checked_inputs(system, y0, h)
-    mode = cfg.resolve_mode(system)
-    if system.separable is not None:
-        return _separable_step(system, y0, h, method, cfg, mode)
-    if mode == "blended":
-        raise SolverError("blended mode unsupported: system is not separable")
-    coeffs, diag = _generic_coefficients(system, y0, h, method, cfg, mode)
-    return y0 + h * coeffs[0], diag
+    """One HBVM(k,s) step from y0 with stepsize h -> (y1, StepDiagnostics).
 
-
-def solve_coefficients_fixed_point(system, y0, h, method, cfg=SolverConfig()):
-    """Stage derivative coefficients (s blocks) by plain fixed-point iteration."""
-    y0 = _checked_inputs(system, y0, h)
-    if system.separable is not None:
-        return _separable_coefficients(system, y0, h, method, cfg, "fixed-point")[0]
-    return _generic_coefficients(system, y0, h, method, cfg, "fixed-point")[0]
-
-
-def solve_coefficients_blended(system, y0, h, method, cfg=SolverConfig()):
-    """Stage derivative coefficients by the blended step (separable only)."""
-    y0 = _checked_inputs(system, y0, h)
-    if system.separable is None:
-        raise SolverError("blended mode unsupported: system is not separable")
-    return _separable_coefficients(system, y0, h, method, cfg, "blended")[0]
+    Reuses the Stepper of the previous call when system is the same object
+    and h, method and cfg compare equal, and builds a new one otherwise.
+    """
+    global _last_stepper
+    last = _last_stepper
+    if last is None or not (last.system is system and last.h == h and last.method == method and last.cfg == cfg):
+        last = _last_stepper = Stepper(system, h, method, cfg)
+    return last(y0)
 
 
 def rk_tableau(method: HBVMMethod):
@@ -390,13 +418,14 @@ def drive(
 
     States are stored every ``record_stride`` steps (0 stores endpoints only);
     ``observer(step_index, t, y)`` is invoked at every step including step 0.
-    A malformed or non-finite state or stepsize and a negative step count are
-    rejected before the first step.  A SolverError from ``advance`` becomes a
+    A malformed or non-finite state or stepsize, and a step count or stride
+    that is not a nonnegative integer, are rejected before the first step.  A SolverError from ``advance`` becomes a
     StepFailure naming the step and carrying the partial trajectory.
     """
-    y0 = _checked_inputs(system, y0, h)
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
+    _check_stepsize(h)
+    y0 = _checked_state(system, y0)
+    check_count("n_steps", n_steps, 0)
+    check_count("record_stride", record_stride, 0)
 
     times = h * np.arange(n_steps + 1)
     hams = np.empty(n_steps + 1)

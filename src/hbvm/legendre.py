@@ -11,6 +11,7 @@ I + h^2 X^2 (x) L.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,6 +35,14 @@ MAX_DEGREE = 6
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Rejects a non-integer value (a bool or a float too) or one below minimum, naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 def _legendre_pair(n: int, t):
@@ -126,8 +135,7 @@ def _gauss_rule_cached(k: int) -> QuadratureRule:
 
 def gauss_rule(k: int) -> QuadratureRule:
     """k-node Gauss rule on [0,1] (order 2k)."""
-    if k < 1:
-        raise ValueError("node count must be at least 1")
+    check_count("k", k, 1)
     if k > MAX_NODES:
         raise ValueError(f"node count {k} exceeds supported maximum {MAX_NODES}")
     return _gauss_rule_cached(k)
@@ -206,8 +214,8 @@ def _hbvm_tables_cached(k: int, s: int) -> HBVMTables:
 
 def hbvm_tables(k: int, s: int) -> HBVMTables:
     """Coefficient tables of the HBVM(k,s) method; cached per (k,s)."""
-    if s < 1:
-        raise ValueError("polynomial degree count s must be at least 1")
+    check_count("k", k, 1)
+    check_count("s", s, 1)
     if k < s:
         raise ValueError(f"invalid method: requires k >= s, got k={k}, s={s}")
     if s > MAX_DEGREE:

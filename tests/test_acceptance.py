@@ -7,6 +7,7 @@ that data (see the wpd CLI command) but no timing value is asserted here.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,9 @@ from hbvm.comparators import composition_scheme, integrate_explicit
 from hbvm.integrator import (
     HBVMMethod,
     SolverConfig,
+    Stepper,
     integrate,
     rk_tableau,
-    solve_coefficients_blended,
-    solve_coefficients_fixed_point,
     step,
 )
 from hbvm.legendre import gauss_rule, hbvm_tables
@@ -225,8 +225,8 @@ def test_criterion_9_coefficient_scaling():
     system = problems.pendulum()
     y0 = np.array([0.5, 1.0])
     cfg = SolverConfig(mode="fixed-point", tol=1e-15)
-    g_h = solve_coefficients_fixed_point(system, y0, 0.2, HBVMMethod(6, 3), cfg)
-    g_h2 = solve_coefficients_fixed_point(system, y0, 0.1, HBVMMethod(6, 3), cfg)
+    g_h = Stepper(system, 0.2, HBVMMethod(6, 3), cfg).coefficients(y0)
+    g_h2 = Stepper(system, 0.1, HBVMMethod(6, 3), cfg).coefficients(y0)
     ratios = [float(np.log2(np.linalg.norm(g_h[j]) / np.linalg.norm(g_h2[j]))) for j in range(3)]
     ok = all(abs(r - j) <= 0.3 for j, r in enumerate(ratios))
     report(9, "stage coefficient scaling O(h^j)", ok, f"log2 ratios {['%.2f' % r for r in ratios]}")
@@ -245,8 +245,8 @@ def test_criterion_10_solver_equivalence():
     }
     for name, (system, y0) in cases.items():
         cfg = SolverConfig(tol=tol)
-        g_fp = solve_coefficients_fixed_point(system, y0, 0.05, HBVMMethod(5, 1), cfg)
-        g_bl = solve_coefficients_blended(system, y0, 0.05, HBVMMethod(5, 1), cfg)
+        g_fp = Stepper(system, 0.05, HBVMMethod(5, 1), replace(cfg, mode="fixed-point")).coefficients(y0)
+        g_bl = Stepper(system, 0.05, HBVMMethod(5, 1), replace(cfg, mode="blended")).coefficients(y0)
         dev = float(np.max(np.abs(g_fp - g_bl)))
         bound = 100 * tol * (1.0 + float(np.max(np.abs(y0))))
         ok &= dev <= bound

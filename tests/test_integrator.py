@@ -14,9 +14,8 @@ from hbvm.integrator import (
     SolverError,
     StepFailure,
     integrate,
+    Stepper,
     rk_tableau,
-    solve_coefficients_blended,
-    solve_coefficients_fixed_point,
     step,
 )
 from hbvm.legendre import gauss_rule
@@ -99,21 +98,15 @@ class TestCoefficientSolvers:
         y0 = rng.standard_normal(system.dim) * 0.3
         h = 0.005
         method = HBVMMethod(3, 2)
-        g_fp = solve_coefficients_fixed_point(system, y0, h, method, SolverConfig(tol=1e-15, mode="fixed-point"))
-        from hbvm.integrator import _separable_coefficients
-
-        g_nd, _, _ = _separable_coefficients(system, y0, h, method, SolverConfig(tol=1e-15), "simplified-newton-dense")
+        g_fp = Stepper(system, h, method, SolverConfig(tol=1e-15, mode="fixed-point")).coefficients(y0)
+        g_nd = Stepper(system, h, method, SolverConfig(tol=1e-15, mode="simplified-newton-dense")).coefficients(y0)
         np.testing.assert_allclose(g_fp, g_nd, atol=1e-12)
 
     def test_zero_state_converges_immediately(self):
-        system = problems.quartic_oscillator()
-        from hbvm.integrator import _separable_coefficients
-
-        coeffs, diag, _ = _separable_coefficients(
-            system, np.zeros(2), 0.1, HBVMMethod(2, 1), SolverConfig(mode="fixed-point"), "fixed-point"
-        )
+        stepper = Stepper(problems.quartic_oscillator(), 0.1, HBVMMethod(2, 1), SolverConfig(mode="fixed-point"))
+        _, diag = stepper(np.zeros(2))
         assert diag.iterations == 1
-        np.testing.assert_array_equal(coeffs, 0.0)
+        np.testing.assert_array_equal(stepper.coefficients(np.zeros(2)), 0.0)
 
     def test_fixed_point_iteration_count_on_wave_run(self):
         system, y0 = problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd2", N=400)
@@ -127,8 +120,8 @@ class TestCoefficientSolvers:
         h = 0.05
         for bc in ("periodic", "dirichlet", "neumann"):
             system, y0 = problems.sine_gordon_system(gamma=1.0, bc=bc, scheme="fd2", N=200)
-            g_fp = solve_coefficients_fixed_point(system, y0, h, HBVMMethod(5, 1), SolverConfig(tol=tol))
-            g_bl = solve_coefficients_blended(system, y0, h, HBVMMethod(5, 1), SolverConfig(tol=tol))
+            g_fp = Stepper(system, h, HBVMMethod(5, 1), SolverConfig(tol=tol, mode="fixed-point")).coefficients(y0)
+            g_bl = Stepper(system, h, HBVMMethod(5, 1), SolverConfig(tol=tol, mode="blended")).coefficients(y0)
             assert np.max(np.abs(g_fp - g_bl)) <= 10 * tol * (1 + np.max(np.abs(y0)))
 
     @pytest.mark.parametrize("k,s,solves", [(5, 1, 1), (4, 2, 1)])
@@ -203,7 +196,7 @@ class TestCoefficientSolvers:
     def test_blended_rejected_for_non_separable(self):
         system, y0 = problems.nls_system(N=16)
         with pytest.raises(SolverError):
-            solve_coefficients_blended(system, y0, 0.01, HBVMMethod(2, 1))
+            Stepper(system, 0.01, HBVMMethod(2, 1), SolverConfig(mode="blended")).coefficients(y0)
         with pytest.raises(SolverError):
             step(system, y0, 0.01, HBVMMethod(2, 1), SolverConfig(mode="blended"))
 
@@ -227,6 +220,10 @@ def _counting(system):
         accel = system.separable.accel
         changes["separable"] = replace(system.separable, accel=lambda q, t: calls.append(1) or accel(q, t))
     return replace(system, **changes), calls
+
+
+def _pendulum_run(n_steps=2, record_stride=1):
+    return integrate(problems.pendulum(), np.array([0.5, 1.0]), 0.1, n_steps, HBVMMethod(2, 1), record_stride=record_stride)
 
 
 _FAIL_FAST_SYSTEMS = {
@@ -313,6 +310,68 @@ class TestFailFast:
         with pytest.raises(SolverError, match=f"{mode} .*non-finite residual at iteration 1") as err:
             step(system, y0, 0.01, HBVMMethod(3, 1), SolverConfig(mode=mode))
         assert err.value.diagnostics.iterations <= 2
+
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            ("k", lambda: HBVMMethod(5.0, 1)),
+            ("k", lambda: HBVMMethod(True, True)),
+            ("s", lambda: HBVMMethod(5, 1.0)),
+            ("max_iter", lambda: SolverConfig(max_iter=2.5)),
+            ("max_iter", lambda: SolverConfig(max_iter=True)),
+            ("n_steps", lambda: _pendulum_run(n_steps=2.0)),
+            ("record_stride", lambda: _pendulum_run(record_stride=-1)),
+            ("record_stride", lambda: _pendulum_run(record_stride=2.5)),
+        ],
+    )
+    def test_non_integer_size_rejected_at_entry(self, name, call):
+        HBVMMethod(5, 1)  # a cached (5, 1) must not let 5.0 through
+        with pytest.raises(ValueError, match=name):
+            call()
+
+
+def _counting_builds(system):
+    """Copy of system that counts make_preconditioner calls."""
+    builds = []
+    make = system.separable.make_preconditioner
+    counted = lambda shift: builds.append(1) or make(shift)
+    return replace(system, separable=replace(system.separable, make_preconditioner=counted)), builds
+
+
+class TestStepper:
+    @pytest.mark.parametrize("bc,scheme", [("periodic", "fd6"), ("dirichlet", "fd2")])
+    @pytest.mark.parametrize("k,s", [(5, 1), (6, 2)])
+    def test_integrate_builds_the_preconditioner_once(self, bc, scheme, k, s):
+        system, y0 = problems.sine_gordon_system(gamma=1.0, bc=bc, scheme=scheme, N=64)
+        system, builds = _counting_builds(system)
+        rec = integrate(system, y0, 0.1, 10, HBVMMethod(k, s), record_stride=0)
+        assert rec.mode == "blended"
+        assert len(builds) == 1
+
+    def test_repeated_step_equals_a_fresh_stepper(self):
+        system, y0 = problems.sine_gordon_system(gamma=1.0, bc="dirichlet", scheme="fd2", N=64)
+        system, builds = _counting_builds(system)
+        method, cfg = HBVMMethod(6, 2), SolverConfig()
+        step(system, y0, 0.1, method, cfg)
+        y1, diag = step(system, y0, 0.1, HBVMMethod(6, 2), SolverConfig())
+        assert len(builds) == 1
+        fresh, fresh_diag = Stepper(system, 0.1, method, cfg)(y0)
+        np.testing.assert_array_equal(y1, fresh)
+        assert (diag.iterations, diag.residual) == (fresh_diag.iterations, fresh_diag.residual)
+
+    def test_other_arguments_rebuild(self):
+        system, y0 = problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd6", N=64)
+        system, builds = _counting_builds(system)
+        calls = [
+            (system, 0.1, HBVMMethod(5, 1), SolverConfig()),
+            (system, 0.05, HBVMMethod(5, 1), SolverConfig()),
+            (system, 0.05, HBVMMethod(5, 1), SolverConfig(tol=1e-14)),
+            (replace(system), 0.05, HBVMMethod(5, 1), SolverConfig(tol=1e-14)),
+            (system, 0.05, HBVMMethod(6, 1), SolverConfig(tol=1e-14)),
+        ]
+        for n, (target, h, method, cfg) in enumerate(calls, start=1):
+            step(target, y0, h, method, cfg)
+            assert len(builds) == n
 
 
 _REVERSIBLE_SYSTEMS = {
@@ -528,8 +587,8 @@ class TestIntegrate:
         y0 = np.array([0.5, 1.0])
         method = HBVMMethod(6, 3)
         cfg = SolverConfig(mode="fixed-point", tol=1e-15)
-        g_h = solve_coefficients_fixed_point(system, y0, 0.2, method, cfg)
-        g_h2 = solve_coefficients_fixed_point(system, y0, 0.1, method, cfg)
+        g_h = Stepper(system, 0.2, method, cfg).coefficients(y0)
+        g_h2 = Stepper(system, 0.1, method, cfg).coefficients(y0)
         for j in range(3):
             ratio = np.log2(np.linalg.norm(g_h[j]) / np.linalg.norm(g_h2[j]))
             assert ratio == pytest.approx(j, abs=0.3)
