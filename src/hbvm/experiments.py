@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels, problems
+from . import problems
 from .comparators import composition_scheme, integrate_explicit
 from .integrator import MODES, HBVMMethod, SolverConfig, StepFailure, TrajectoryRecord, integrate
 from .legendre import check_count
@@ -247,7 +247,6 @@ def run_solve(config: RunConfig):
         write_csv(config.out + "_solution.csv", header, rows)
         summary = {
             "config": asdict(config),
-            "kernel_backend": kernels.BACKEND,
             "method": config.method().name,
             "solver_mode": record.mode,
             "initial_energy": record.hamiltonian[0],
@@ -308,9 +307,14 @@ def run_convergence(config: RunConfig, levels, final_time: float = 40.0):
     grid node of |u_num - u_exact|.
     """
     _check_study(config, final_time, "convergence study")
-    levels = [int(v) for v in levels]
-    if any(v < 1 for v in levels):
-        raise ConfigError("levels must be positive integers")
+    try:
+        levels = [int(v) if isinstance(v, str) and v.strip().lstrip("+-").isdigit() else v for v in levels]
+        for level in levels:
+            check_count("each level", level, 1)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    if not levels or len(set(levels)) != len(levels):
+        raise ConfigError(f"levels must be distinct step counts, at least one, got {levels}")
     errors = []
     for level in levels:
         cell = replace(config, N=level, out=None) if config.scheme != "fourier" else replace(config, out=None)

@@ -143,8 +143,9 @@ class TrajectoryRecord:
 
     ``states`` holds the states recorded at ``record_times`` (stride-decimated,
     always including the initial and final state).  ``hamiltonian`` is the
-    conserved energy at every step; ``physical_hamiltonian`` additionally
-    tracks the plain energy of augmented systems (None otherwise).
+    conserved energy at every step; ``physical_hamiltonian`` is the plain
+    energy H = Ht - pt of augmented systems, derived from it and the pt
+    series when the record is built (None for other systems).
     """
 
     times: np.ndarray
@@ -414,7 +415,7 @@ def drive(
     observer: Optional[Callable[[int, float, np.ndarray], None]] = None,
 ) -> TrajectoryRecord:
     """The trajectory loop of every method: ``advance(y) -> (y1, StepDiagnostics)``
-    n_steps times, with per-step energy bookkeeping.
+    n_steps times, with one energy evaluation per step.
 
     States are stored every ``record_stride`` steps (0 stores endpoints only);
     ``observer(step_index, t, y)`` is invoked at every step including step 0.
@@ -429,7 +430,7 @@ def drive(
 
     times = h * np.arange(n_steps + 1)
     hams = np.empty(n_steps + 1)
-    phys = np.empty(n_steps + 1) if system.physical_hamiltonian is not None else None
+    pts = np.empty(n_steps + 1) if system.augmented else None
     iters = np.zeros(n_steps, dtype=int)
     resid = np.zeros(n_steps)
     kept_states = [y0.copy()]
@@ -442,7 +443,7 @@ def drive(
             states=np.array(kept_states),
             record_times=np.array(kept_times),
             hamiltonian=hams[: n + 1],
-            physical_hamiltonian=phys[: n + 1] if phys is not None else None,
+            physical_hamiltonian=hams[: n + 1] - pts[: n + 1] if pts is not None else None,
             iterations=iters[:n],
             residuals=resid[:n],
             mode=mode,
@@ -451,8 +452,8 @@ def drive(
 
     y = y0.copy()
     hams[0] = system.hamiltonian(y)
-    if phys is not None:
-        phys[0] = system.physical_hamiltonian(y)
+    if pts is not None:
+        pts[0] = y[-1]
     if observer is not None:
         observer(0, 0.0, y)
 
@@ -465,8 +466,8 @@ def drive(
             failure.partial = record(n - 1)
             raise failure from err
         hams[n] = system.hamiltonian(y)
-        if phys is not None:
-            phys[n] = system.physical_hamiltonian(y)
+        if pts is not None:
+            pts[n] = y[-1]
         iters[n - 1] = diag.iterations
         resid[n - 1] = diag.residual
         if observer is not None:

@@ -15,14 +15,7 @@ from functools import partial
 import numpy as np
 
 from .systems import SemiDiscreteSystem, SeparableForm, SkewStructure, separable_system, shifted_solver
-from .wave_fd import (
-    BoundaryData,
-    build_dirichlet,
-    build_neumann,
-    build_periodic,
-    _energy_sum,
-    _periodic_operator,
-)
+from .wave_fd import BoundaryData, StencilOperator, build_dirichlet, build_neumann, build_periodic, _energy_sum
 from .wave_fourier import build_fourier
 
 __all__ = [
@@ -218,7 +211,7 @@ def build_nls_periodic(N: int, domain, kappa: float) -> SemiDiscreteSystem:
     a, b = float(domain[0]), float(domain[1])
     dx = (b - a) / N
     x = a + dx * np.arange(N)
-    op = _periodic_operator(N, 2, dx)
+    op = StencilOperator(N, "periodic", 2, dx)
 
     def fields(y):
         """(u; v) as a (..., 2, N) view, so one stencil call covers both fields."""
@@ -241,7 +234,6 @@ def build_nls_periodic(N: int, domain, kappa: float) -> SemiDiscreteSystem:
         return g.reshape(np.shape(y))
 
     return SemiDiscreteSystem(
-        dim=2 * N,
         skew=SkewStructure(n=N, scale=1.0 / dx),
         hamiltonian=hamiltonian,
         gradient=gradient,

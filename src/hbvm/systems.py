@@ -10,7 +10,8 @@ The field callables act on the last axis: gradient, rhs and
 SkewStructure.apply take one state or a (rows, dim) stack of stage rows and
 return the same shape, so a solver evaluates all its stages in one call.
 hamiltonian and physical_hamiltonian take one state per call, because their
-exactly rounded sums are per state.
+exactly rounded sums are per state; the physical energy of an augmented
+system is derived from the conserved one, H = Ht - pt.
 
 Separable systems (second-order qdot = p, pdot = SeparableForm.pdot(q, t))
 state their force once, in a SeparableForm, split into a stiff linear part
@@ -25,6 +26,7 @@ and qtdot = dH/dpt = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -102,18 +104,20 @@ class SeparableForm:
 class SemiDiscreteSystem:
     """Autonomous Hamiltonian system ydot = J grad H(y) with constant J.
 
-    ``hamiltonian`` is the conserved energy (the augmented one for
-    boundary-forced systems); ``physical_hamiltonian`` is the plain energy
-    H(q, p, t) of augmented systems and None otherwise.
+    ``hamiltonian`` is the conserved energy: for boundary-forced systems the
+    augmented Ht = H + pt, pt being the last slot of the state.  The state
+    length ``dim`` is the skew structure's.
     """
 
-    dim: int
     skew: SkewStructure
     hamiltonian: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     descriptor: dict = field(default_factory=dict)
     separable: Optional[SeparableForm] = None
-    physical_hamiltonian: Optional[Callable[[np.ndarray], float]] = None
+
+    @cached_property
+    def dim(self) -> int:
+        return self.skew.dim
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -125,8 +129,12 @@ class SemiDiscreteSystem:
     def augmented(self) -> bool:
         return self.skew.augmented
 
+    def physical_hamiltonian(self, y: np.ndarray) -> float:
+        """The plain energy H(q, p, t): hamiltonian(y) - pt on augmented systems, hamiltonian(y) otherwise."""
+        return self.hamiltonian(y) - y[-1] if self.augmented else self.hamiltonian(y)
 
-def separable_system(form, scale, hamiltonian, descriptor, physical_hamiltonian=None) -> SemiDiscreteSystem:
+
+def separable_system(form, scale, hamiltonian, descriptor) -> SemiDiscreteSystem:
     """System of a separable form with skew scale ``scale``, its gradient read
     off the form (sign and scale rule in the module docstring); a form with
     aug_rate gives an augmented system.  The gradient keeps this form, so
@@ -148,10 +156,7 @@ def separable_system(form, scale, hamiltonian, descriptor, physical_hamiltonian=
             g[:, 2 * n + 1] = 1.0
         return g.reshape(np.shape(y))
 
-    return SemiDiscreteSystem(
-        dim=skew.dim, skew=skew, hamiltonian=hamiltonian, gradient=gradient, descriptor=descriptor,
-        separable=form, physical_hamiltonian=physical_hamiltonian,
-    )
+    return SemiDiscreteSystem(skew=skew, hamiltonian=hamiltonian, gradient=gradient, descriptor=descriptor, separable=form)
 
 
 def shifted_solver(shift, eigenvalues, to_modes=None, from_modes=None) -> Callable[[np.ndarray], np.ndarray]:

@@ -16,9 +16,9 @@ roundoff floor of the dynamics rather than of the bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg.lapack
@@ -40,6 +40,8 @@ _DIFF_WEIGHTS = {
     4: np.array([4.0 / 3.0, -1.0 / 12.0]),
     6: np.array([3.0 / 2.0, -3.0 / 20.0, 1.0 / 90.0]),
 }
+# Corner entries of a tridiagonal T are 1 + corner (None: circulant, no corners).
+_CORNERS = {"periodic": None, "dirichlet": 1.0, "neumann": 0.0}
 
 
 def _energy_sum(terms: np.ndarray) -> float:
@@ -56,19 +58,28 @@ def _energy_sum(terms: np.ndarray) -> float:
 class StencilOperator:
     """Symmetric banded operator T with -u_xx(x_i) ~ (T q)_i / dx^2.
 
-    Periodic operators are circulant, described by difference weights (their
-    band coefficients are diagonal 2 sum(w) and off-diagonals -w_r).
-    Dirichlet/Neumann operators are tridiagonal with off-diagonal -1,
-    interior diagonal 2, and corner entries 1 + corner (Dirichlet corner = 1,
-    Neumann corner = 0).
+    order and bc determine the rest, derived once at construction.
+    Periodic operators (order 2, 4 or 6) are circulant, described by
+    difference weights (their band coefficients are diagonal 2 sum(w) and
+    off-diagonals -w_r).  Dirichlet/Neumann operators are second order and
+    tridiagonal with off-diagonal -1, interior diagonal 2, and corner
+    entries 1 + corner (Dirichlet corner = 1, Neumann corner = 0).
     """
 
     n: int
     bc: str
     order: int
     dx: float
-    weights: np.ndarray
-    corner: float = 1.0
+    weights: np.ndarray = field(init=False)
+    corner: Optional[float] = field(init=False)
+
+    def __post_init__(self):
+        if self.bc not in _CORNERS:
+            raise ValueError(f"unknown boundary condition {self.bc!r}")
+        if self.order not in (_DIFF_WEIGHTS if self.bc == "periodic" else (2,)):
+            raise ValueError(f"unsupported stencil order {self.order} for {self.bc} boundaries")
+        object.__setattr__(self, "weights", _DIFF_WEIGHTS[self.order])
+        object.__setattr__(self, "corner", _CORNERS[self.bc])
 
     def apply(self, q: np.ndarray) -> np.ndarray:
         """T q along the last axis: one grid vector or a (rows, n) stack of stage rows."""
@@ -96,17 +107,6 @@ class StencilOperator:
         for r in range(1, self.weights.size + 1):
             t += self.weights[r - 1] * (2.0 - 2.0 * np.cos(r * theta))
         return t
-
-
-def _periodic_operator(n: int, order: int, dx: float) -> StencilOperator:
-    if order not in _DIFF_WEIGHTS:
-        raise ValueError(f"unsupported stencil order {order}; choose 2, 4, or 6")
-    return StencilOperator(n=n, bc="periodic", order=order, dx=dx, weights=_DIFF_WEIGHTS[order])
-
-
-def _tridiagonal_operator(n: int, bc: str, dx: float) -> StencilOperator:
-    corner = 1.0 if bc == "dirichlet" else 0.0
-    return StencilOperator(n=n, bc=bc, order=2, dx=dx, weights=_DIFF_WEIGHTS[2], corner=corner)
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def _banded_solver(shift: np.ndarray, diag: np.ndarray):
     return solve
 
 
-def _stencil_system(op: StencilOperator, domain, x, name, hamiltonian, accel, aug_rate=None, physical_hamiltonian=None):
+def _stencil_system(op: StencilOperator, domain, x, name, hamiltonian, accel, aug_rate=None):
     """Separable system of the stencil T/dx^2 with the given energy and forces.
 
     linear_operator applies T/dx^2, and accel is the rest of the force on
@@ -179,7 +179,7 @@ def _stencil_system(op: StencilOperator, domain, x, name, hamiltonian, accel, au
         nq=op.n, accel=accel, make_preconditioner=make_preconditioner, linear_operator=linear_operator, aug_rate=aug_rate
     )
     descriptor = {"name": name, "bc": op.bc, "order": op.order, "domain": domain, "x": x, "dx": dx, "stencil": op}
-    return separable_system(form, 1.0 / dx, hamiltonian, descriptor, physical_hamiltonian)
+    return separable_system(form, 1.0 / dx, hamiltonian, descriptor)
 
 
 def build_periodic(N: int, order: int, domain, f, fprime, name: str = "wave") -> SemiDiscreteSystem:
@@ -193,7 +193,7 @@ def build_periodic(N: int, order: int, domain, f, fprime, name: str = "wave") ->
         raise ValueError(f"N={N} too small for an order-{order} stencil")
     dx = (b - a) / N
     x = a + dx * np.arange(N)
-    op = _periodic_operator(N, order, dx)
+    op = StencilOperator(N, "periodic", order, dx)
 
     def hamiltonian(y):
         q, p = y[:N], y[N:]
@@ -222,16 +222,13 @@ def _augmented_system(N, domain, f, fprime, boundary, kind, name, forcing) -> Se
     if N < 3:
         raise ValueError("N must be at least 3")
     dx = (b - a) / (N + 1)
-    op = _tridiagonal_operator(N, kind, dx)
+    op = StencilOperator(N, kind, 2, dx)
     energy, boundary_accel, aug_rate = forcing(dx)
 
-    def physical_hamiltonian(y):
+    def hamiltonian(y):
         q, p, qt = y[:N], y[N : 2 * N], y[2 * N]
         terms = 0.5 * p * p + q * op.apply(q) / (2.0 * dx**2) + f(q)
-        return energy(dx * _energy_sum(terms), q, qt)
-
-    def hamiltonian(y):
-        return physical_hamiltonian(y) + y[2 * N + 1]
+        return energy(dx * _energy_sum(terms), q, qt) + y[2 * N + 1]
 
     def accel(stages, times):
         out = -fprime(stages)
@@ -239,7 +236,7 @@ def _augmented_system(N, domain, f, fprime, boundary, kind, name, forcing) -> Se
         return out
 
     x = a + dx * np.arange(1, N + 1)
-    return _stencil_system(op, (a, b), x, name, hamiltonian, accel, aug_rate, physical_hamiltonian)
+    return _stencil_system(op, (a, b), x, name, hamiltonian, accel, aug_rate)
 
 
 def build_dirichlet(N: int, domain, f, fprime, boundary: BoundaryData, name: str = "wave") -> SemiDiscreteSystem:

@@ -278,6 +278,13 @@ class TestCLI:
             assert err.startswith("configuration error:") and "N" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("levels", ["10,2.5", "20,20", ""])
+    def test_bad_convergence_levels_are_config_errors(self, levels, capsys):
+        # a fractional, a repeated (rate over log2(1)) and an empty level list
+        assert main(["convergence", "--levels", levels, "-N", "40", "--final-time", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "level" in err
+
     @pytest.mark.parametrize("command", ["solve", "drift"])
     def test_blended_on_non_separable_is_a_config_error(self, command, capsys):
         # rejected before any step, not reported as a solver failure (exit 3)

@@ -177,6 +177,22 @@ class TestGradientContract:
             assert system.rhs(y)[2 * system.skew.n] == 1.0
 
 
+class TestDerivedFields:
+    def test_dim_and_physical_energy_follow_the_fields(self):
+        from dataclasses import replace
+
+        system, y0 = problems.sine_gordon_system(gamma=1.0, bc="dirichlet", scheme="fd2", N=20)
+        assert system.dim == system.skew.dim == 42
+        y = y0.copy()
+        y[-1] = 0.25
+        assert system.physical_hamiltonian(y) == system.hamiltonian(y) - 0.25
+        # a copy with a replaced energy derives its physical energy from that one
+        doubled = replace(system, hamiltonian=lambda y: 2.0 * system.hamiltonian(y))
+        assert doubled.physical_hamiltonian(y) == 2.0 * system.hamiltonian(y) - 0.25
+        plain = problems.harmonic_oscillator()
+        assert plain.physical_hamiltonian(np.array([1.0, 0.5])) == plain.hamiltonian(np.array([1.0, 0.5]))
+
+
 class TestHamiltonianDrift:
     def test_single_state(self):
         system = problems.harmonic_oscillator()

@@ -7,11 +7,10 @@ from hbvm import problems
 from hbvm.legendre import hbvm_tables
 from hbvm.wave_fd import (
     BoundaryData,
+    StencilOperator,
     build_dirichlet,
     build_neumann,
     build_periodic,
-    _periodic_operator,
-    _tridiagonal_operator,
 )
 
 ZERO = lambda u: np.zeros_like(u)
@@ -41,11 +40,11 @@ def build_sg_augmented(bc, N, domain):
 
 def all_operators(n=20, dx=0.1):
     return [
-        _periodic_operator(n, 2, dx),
-        _periodic_operator(n, 4, dx),
-        _periodic_operator(n, 6, dx),
-        _tridiagonal_operator(n, "dirichlet", dx),
-        _tridiagonal_operator(n, "neumann", dx),
+        StencilOperator(n, "periodic", 2, dx),
+        StencilOperator(n, "periodic", 4, dx),
+        StencilOperator(n, "periodic", 6, dx),
+        StencilOperator(n, "dirichlet", 2, dx),
+        StencilOperator(n, "neumann", 2, dx),
     ]
 
 
@@ -60,15 +59,15 @@ class TestStencilOperator:
 
     def test_periodic_annihilates_constants(self):
         for order in (2, 4, 6):
-            op = _periodic_operator(24, order, 0.1)
+            op = StencilOperator(24, "periodic", order, 0.1)
             np.testing.assert_allclose(op.apply(np.ones(24)), 0.0, atol=1e-13)
 
     def test_neumann_annihilates_constants(self):
-        op = _tridiagonal_operator(15, "neumann", 0.1)
+        op = StencilOperator(15, "neumann", 2, 0.1)
         np.testing.assert_allclose(op.apply(np.ones(15)), 0.0, atol=1e-14)
 
     def test_dirichlet_positive_definite(self, rng):
-        op = _tridiagonal_operator(15, "dirichlet", 0.1)
+        op = StencilOperator(15, "dirichlet", 2, 0.1)
         for _ in range(20):
             q = rng.standard_normal(15)
             assert q @ op.apply(q) > 0.0
@@ -76,7 +75,7 @@ class TestStencilOperator:
     def test_order2_circulant_eigenvector(self):
         n, length = 32, 2.0
         dx = length / n
-        op = _periodic_operator(n, 2, dx)
+        op = StencilOperator(n, "periodic", 2, dx)
         x = dx * np.arange(n)
         q = np.cos(2 * np.pi * x / length)
         lam = 2.0 - 2.0 * np.cos(2 * np.pi * dx / length)
@@ -85,7 +84,7 @@ class TestStencilOperator:
     def test_order2_second_derivative_exact_on_quadratic(self):
         # -T/dx^2 applied to samples of x^2 gives -2 at interior points
         n, dx = 20, 0.05
-        op = _tridiagonal_operator(n, "dirichlet", dx)
+        op = StencilOperator(n, "dirichlet", 2, dx)
         x = dx * np.arange(1, n + 1)
         vals = -op.apply(x**2) / dx**2
         np.testing.assert_allclose(vals[1:-1], 2.0, atol=1e-10)
@@ -97,7 +96,7 @@ class TestStencilOperator:
         # rows with full stencil support reproduce the second derivative of
         # polynomials up to the stated degree
         n, dx = 40, 0.02
-        op = _periodic_operator(n, order, dx)
+        op = StencilOperator(n, "periodic", order, dx)
         x = dx * np.arange(n)
         r = order // 2
         for deg in range(degree + 1):
@@ -108,20 +107,32 @@ class TestStencilOperator:
     def test_order4_on_quartic(self):
         # samples of x^4: interior rows reproduce 12 x^2 after scaling
         n, dx = 30, 0.1
-        op = _periodic_operator(n, 4, dx)
+        op = StencilOperator(n, "periodic", 4, dx)
         x = dx * np.arange(n)
         vals = op.apply(x**4)
         exact = -(dx**2) * 12.0 * x**2
         np.testing.assert_allclose(vals[2 : n - 2], exact[2 : n - 2], atol=1e-10)
 
     def test_dimension_mismatch(self):
-        op = _periodic_operator(10, 2, 0.1)
+        op = StencilOperator(10, "periodic", 2, 0.1)
         for shape in (11, (3, 11)):
             with pytest.raises(ValueError):
                 op.apply(np.zeros(shape))
 
+    def test_weights_and_corner_derived_from_order_and_bc(self):
+        for order in (2, 4, 6):
+            op = StencilOperator(24, "periodic", order, 0.1)
+            r = np.arange(1, op.weights.size + 1)
+            assert op.weights.size == order // 2 and op.corner is None
+            assert np.sum(r * r * op.weights) == pytest.approx(1.0, abs=1e-15)  # a second difference
+        assert StencilOperator(15, "dirichlet", 2, 0.1).corner == 1.0
+        assert StencilOperator(15, "neumann", 2, 0.1).corner == 0.0
+        for bc, order in (("periodic", 3), ("periodic", 8), ("dirichlet", 4), ("neumann", 6), ("robin", 2)):
+            with pytest.raises(ValueError):
+                StencilOperator(15, bc, order, 0.1)
+
     def test_symbol_matches_eigenvalues(self):
-        op = _periodic_operator(16, 4, 0.1)
+        op = StencilOperator(16, "periodic", 4, 0.1)
         dense = np.column_stack([op.apply(col) for col in np.eye(16)])
         eig = np.sort(np.linalg.eigvalsh(dense))
         np.testing.assert_allclose(np.sort(op.symbol()), eig, atol=1e-12)
@@ -330,3 +341,26 @@ class TestBuildNeumann:
         d_system, d_y0, _ = build_sg_augmented("dirichlet", 50, (-2.0, 2.0))
         rec = integrate(d_system, d_y0, 0.1, 50, HBVMMethod(5, 1), SolverConfig(), record_stride=0)
         assert np.max(np.abs(rec.drift)) <= 1e-12
+
+
+class TestAugmentedEnergyRecord:
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_one_energy_evaluation_per_step(self, bc, monkeypatch):
+        from hbvm import wave_fd
+        from hbvm.integrator import HBVMMethod, integrate
+
+        system, y0 = problems.sine_gordon_system(gamma=1.0, bc=bc, scheme="fd2", N=48)
+        energy_sum, calls = wave_fd._energy_sum, []
+        monkeypatch.setattr(wave_fd, "_energy_sum", lambda terms: calls.append(1) or energy_sum(terms))
+        n_steps = 7
+        integrate(system, y0, 0.1, n_steps, HBVMMethod(5, 1))
+        assert len(calls) == n_steps + 1
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_recorded_physical_energy_is_the_derived_one(self, bc):
+        from hbvm.integrator import HBVMMethod, integrate
+
+        system, y0, _ = build_sg_augmented(bc, 48, (-2.0, 2.0))
+        rec = integrate(system, y0, 0.1, 10, HBVMMethod(5, 1), record_stride=1)
+        np.testing.assert_array_equal(rec.physical_hamiltonian, [system.physical_hamiltonian(y) for y in rec.states])
+        assert np.max(np.abs(rec.physical_drift)) > 1e-3  # the forcing moves H, not Ht
