@@ -23,12 +23,15 @@ the system's make_preconditioner), and a dense simplified-Newton oracle for
 validation.
 
 A Stepper builds what does not depend on the state once per run; step()
-reuses the last Stepper it built while its arguments stay the same.
+reuses the last Stepper it built while its arguments stay the same.  In
+blended mode, which solves the stiff part exactly, a Stepper warm-starts
+each solve of a chain of steps from its last three (see Stepper).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -194,10 +197,12 @@ def _newton(target, lu) -> Callable[[np.ndarray], np.ndarray]:
     return newton
 
 
-def _iterate(target, shape, y0, h, cfg: SolverConfig, mode: str):
-    """The stage-coefficient loop that every solver mode runs: coeffs <- target(coeffs).
+def _iterate(target, start, y0, h, cfg: SolverConfig, mode: str):
+    """The stage-coefficient loop that every solver mode runs: coeffs <- target(coeffs) from start.
 
-    target is the fixed-point map, the blended step or the Newton map.  The
+    target is the fixed-point map, the blended step or the Newton map; start
+    is zero, or in blended mode the Stepper's warm start (see Stepper for
+    when, and why only there).  The
     residual is the change the update makes to the step's output y1,
     h max(1, h) max|update| relative to 1 + |y0|_inf (y1 takes h c_0 on the
     momenta or the whole state, h^2 c on the positions), and the solve stops
@@ -209,7 +214,7 @@ def _iterate(target, shape, y0, h, cfg: SolverConfig, mode: str):
     on their way down set a new smallest one every few iterations and pass.
     """
     scale = h * max(1.0, h) / (1.0 + float(np.max(np.abs(y0))))
-    coeffs = np.zeros(shape)
+    coeffs = start
     smallest, best = np.inf, 0
     for iteration in range(1, cfg.max_iter + 1):
         new = target(coeffs)
@@ -246,7 +251,7 @@ def _iterate(target, shape, y0, h, cfg: SolverConfig, mode: str):
 # ---------------------------------------------------------------------------
 
 def _separable_solver(system, h, tab, cfg, mode):
-    """solve(y0) -> (coeffs, diagnostics, finish), where finish(coeffs) is the step's output y1.
+    """solve(y0, start) -> (coeffs, diagnostics, finish), where finish(coeffs) is the step's output y1.
 
     The stage positions are Q = Q0 + h^2 W c with Q0_i = q0 + c_i h p0 (base)
     and W = stage_weights, and B = weighted_basis has B W = X^2.  So the
@@ -268,7 +273,7 @@ def _separable_solver(system, h, tab, cfg, mode):
     if mode == "simplified-newton-dense" and sep.linear_operator is not None:
         lu = _lu(np.eye(tab.s * nq) + h * h * np.kron(xs2, sep.linear_operator(np.eye(nq)).T))
 
-    def solve(y0):
+    def solve(y0, start):
         q0 = y0[:nq]
         p0 = y0[nq : 2 * nq]
         t0 = y0[2 * nq] if system.augmented else 0.0
@@ -306,7 +311,7 @@ def _separable_solver(system, h, tab, cfg, mode):
                 y1[2 * nq + 1] = y0[2 * nq + 1] + h * float(tab.weights @ sep.aug_rate(stage_q, stage_p, times))
             return y1
 
-        coeffs, diag = _iterate(target, (tab.s, nq), y0, h, cfg, mode)
+        coeffs, diag = _iterate(target, start, y0, h, cfg, mode)
         return coeffs, diag, finish
 
     return solve
@@ -317,17 +322,17 @@ def _separable_solver(system, h, tab, cfg, mode):
 # ---------------------------------------------------------------------------
 
 def _generic_solver(system, h, tab, cfg, mode):
-    """solve(y0) -> (coeffs, diagnostics, finish) for a non-separable system."""
+    """solve(y0, start) -> (coeffs, diagnostics, finish) for a non-separable system."""
     dim = system.dim
 
-    def solve(y0):
+    def solve(y0, start):
         def target(coeffs):
             return tab.weighted_basis @ system.rhs(y0 + h * (tab.node_integrals @ coeffs))
 
         if mode == "simplified-newton-dense":
             jac = _fd_jacobian(system.rhs, y0)
             target = _newton(target, _lu(np.eye(tab.s * dim) - h * np.kron(tab.integration_matrix, jac)))
-        coeffs, diag = _iterate(target, (tab.s, dim), y0, h, cfg, mode)
+        coeffs, diag = _iterate(target, start, y0, h, cfg, mode)
         return coeffs, diag, lambda coeffs: y0 + h * coeffs[0]
 
     return solve
@@ -352,6 +357,16 @@ def _checked_state(system: SemiDiscreteSystem, y0) -> np.ndarray:
     return y0
 
 
+def _warm_start(chain: list, shape) -> np.ndarray:
+    """The stage solve's start from the last steps' coefficients, oldest first:
+    quadratic extrapolation from three, linear from two, the one itself, zero from none."""
+    if len(chain) == 3:
+        return 3.0 * (chain[2] - chain[1]) + chain[0]
+    if len(chain) == 2:
+        return 2.0 * chain[1] - chain[0]
+    return chain[0] if chain else np.zeros(shape)
+
+
 class Stepper:
     """HBVM(k,s) steps of one system at a fixed stepsize and solver setting.
 
@@ -359,6 +374,17 @@ class Stepper:
     without a stiffness preconditioner), and builds X^2, the blended solve
     make_preconditioner(h^2 X^2) and the dense-mode LU when its Jacobian is
     the constant L.  A call does only the work that depends on y0.
+
+    In blended mode a call from the state the Stepper last returned
+    warm-starts the stage solve from the quadratic extrapolation of the last
+    three steps' coefficients, 3 (c_n - c_n-1) + c_n-2 (c_1 on the second
+    step of such a chain, 2 c_2 - c_1 on the third); any other y0 starts
+    from zero.  The start changes the iteration count, not what the step
+    accepts.  The fixed point and dense Newton always start from zero: the
+    plain fixed point leaves stiff modes uncontracted, a warm start carries
+    them from step to step, and they grow.  A one-step or linear start
+    lets the iteration counts flip under a 1% change of the data.  The
+    chain is state, so threads should not share a blended Stepper.
     """
 
     def __init__(self, system: SemiDiscreteSystem, h: float, method: HBVMMethod, cfg: SolverConfig = SolverConfig()):
@@ -370,30 +396,45 @@ class Stepper:
         self.system, self.h, self.method, self.cfg = system, h, method, cfg
         build = _separable_solver if sep is not None else _generic_solver
         self._solve = build(system, h, method.tables, cfg, mode)
+        self._shape = (method.s, sep.nq if sep is not None else system.dim)
+        # blended only: the coefficients of up to three steps, oldest first, of the chain ending at _last
+        self._chain = [] if mode == "blended" else None
+        self._last = None
 
     def __call__(self, y0):
         """One step from y0 -> (y1, StepDiagnostics)."""
-        coeffs, diag, finish = self._solve(_checked_state(self.system, y0))
-        return finish(coeffs), diag
+        y0 = _checked_state(self.system, y0)
+        if self._chain is None:
+            coeffs, diag, finish = self._solve(y0, np.zeros(self._shape))
+            return finish(coeffs), diag
+        if not (self._chain and np.array_equal(y0, self._last)):
+            self._chain = []
+        coeffs, diag, finish = self._solve(y0, _warm_start(self._chain, self._shape))
+        y1 = finish(coeffs)
+        self._chain = self._chain[-2:] + [coeffs]
+        self._last = y1.copy()  # the caller may change y1 in place
+        return y1, diag
 
     def coefficients(self, y0) -> np.ndarray:
-        """The s stage derivative coefficient rows of the step from y0."""
-        return self._solve(_checked_state(self.system, y0))[0]
+        """The s stage derivative coefficient rows of the step from y0, solved from zero."""
+        return self._solve(_checked_state(self.system, y0), np.zeros(self._shape))[0]
 
 
-_last_stepper: Optional[Stepper] = None
+_last_stepper = threading.local()  # .stepper: this thread's last Stepper, so threads keep their own warm starts
 
 
 def step(system: SemiDiscreteSystem, y0, h: float, method: HBVMMethod, cfg: SolverConfig = SolverConfig()):
     """One HBVM(k,s) step from y0 with stepsize h -> (y1, StepDiagnostics).
 
-    Reuses the Stepper of the previous call when system is the same object
-    and h, method and cfg compare equal, and builds a new one otherwise.
+    Reuses the Stepper of the previous call in the same thread when system
+    is the same object and h, method and cfg compare equal, and builds a new
+    one otherwise.  So in blended mode a call from the state the previous
+    call returned warm-starts its stage solve (see Stepper), as integrate's
+    steps do.
     """
-    global _last_stepper
-    last = _last_stepper
+    last = getattr(_last_stepper, "stepper", None)
     if last is None or not (last.system is system and last.h == h and last.method == method and last.cfg == cfg):
-        last = _last_stepper = Stepper(system, h, method, cfg)
+        last = _last_stepper.stepper = Stepper(system, h, method, cfg)
     return last(y0)
 
 

@@ -14,6 +14,7 @@ from functools import partial
 
 import numpy as np
 
+from .legendre import check_count
 from .systems import SemiDiscreteSystem, SeparableForm, SkewStructure, separable_system, shifted_solver
 from .wave_fd import BoundaryData, StencilOperator, build_dirichlet, build_neumann, build_periodic, _energy_sum
 from .wave_fourier import build_fourier
@@ -206,9 +207,8 @@ def build_nls_periodic(N: int, domain, kappa: float) -> SemiDiscreteSystem:
     (u^2+v^2) u, conserving H = [u.Tu + v.Tv]/(2 dx) - (kappa dx / 2)
     sum (u^2+v^2)^2.  Not separable; solved by the generic fixed point.
     """
-    if N < 3:
-        raise ValueError("N must be at least 3")
     a, b = float(domain[0]), float(domain[1])
+    check_count("N", N, 1)  # before dividing by it; StencilOperator checks the stencil's reach
     dx = (b - a) / N
     x = a + dx * np.arange(N)
     op = StencilOperator(N, "periodic", 2, dx)

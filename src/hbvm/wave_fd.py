@@ -24,6 +24,7 @@ import numpy as np
 import scipy.linalg.lapack
 
 from . import kernels
+from .legendre import check_count
 from .systems import SemiDiscreteSystem, SeparableForm, separable_system, shifted_solver
 
 __all__ = [
@@ -78,6 +79,11 @@ class StencilOperator:
             raise ValueError(f"unknown boundary condition {self.bc!r}")
         if self.order not in (_DIFF_WEIGHTS if self.bc == "periodic" else (2,)):
             raise ValueError(f"unsupported stencil order {self.order} for {self.bc} boundaries")
+        minimum = self.order + 1 if self.bc == "periodic" else 3
+        if self.n < minimum:
+            raise ValueError(
+                f"an order-{self.order} {self.bc} stencil needs n >= {minimum} nodes (the mesh size N), got n={self.n}"
+            )
         object.__setattr__(self, "weights", _DIFF_WEIGHTS[self.order])
         object.__setattr__(self, "corner", _CORNERS[self.bc])
 
@@ -189,8 +195,7 @@ def build_periodic(N: int, order: int, domain, f, fprime, name: str = "wave") ->
     accel = -f'(q) and L = T/dx^2.
     """
     a, b = float(domain[0]), float(domain[1])
-    if N < order + 1:
-        raise ValueError(f"N={N} too small for an order-{order} stencil")
+    check_count("N", N, 1)  # before dividing by it; StencilOperator checks the stencil's reach
     dx = (b - a) / N
     x = a + dx * np.arange(N)
     op = StencilOperator(N, "periodic", order, dx)
@@ -219,8 +224,7 @@ def _augmented_system(N, domain, f, fprime, boundary, kind, name, forcing) -> Se
     if boundary.kind != kind:
         raise ValueError(f"build_{kind} requires {kind.capitalize()} boundary data")
     a, b = float(domain[0]), float(domain[1])
-    if N < 3:
-        raise ValueError("N must be at least 3")
+    check_count("N", N, 1)  # before dividing by N + 1; StencilOperator checks the stencil's reach
     dx = (b - a) / (N + 1)
     op = StencilOperator(N, kind, 2, dx)
     energy, boundary_accel, aug_rate = forcing(dx)

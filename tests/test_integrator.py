@@ -88,6 +88,8 @@ _PRECONDITIONED = {
     "harmonic": lambda: problems.harmonic_oscillator(omega=2.0),
 }
 
+_FIXED_POINT_SYSTEMS = {**_PRECONDITIONED, "nls": lambda: problems.nls_system(N=16)[0]}
+
 
 class TestCoefficientSolvers:
     def test_linear_system_fixed_point_matches_dense_newton(self, rng):
@@ -175,6 +177,32 @@ class TestCoefficientSolvers:
         y_bl, _ = step(system, y0, h, method, cfg)
         y_nd, _ = step(system, y0, h, method, replace(cfg, mode="simplified-newton-dense"))
         assert np.max(np.abs(y_bl - y_nd)) <= 100 * cfg.tol * (1.0 + np.max(np.abs(y0)))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_FIXED_POINT_SYSTEMS)),
+        s=st.integers(1, 3),
+        extra_nodes=st.integers(0, 2),
+        fraction=st.floats(0.05, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+        amplitude=st.floats(0.1, 2.0),
+    )
+    def test_fixed_point_matches_dense_newton(self, name, s, extra_nodes, fraction, seed, amplitude):
+        # h = fraction / r, with r = |J^2|_inf^(1/2) >= rho(J) for the
+        # Jacobian J at y0, keeps the plain fixed point contracting
+        # (h rho(X) rho(J) <= 1/4, rho(X) <= 1/2); there it solves the same
+        # stage equations as the dense simplified-Newton oracle
+        from hbvm.integrator import _fd_jacobian
+
+        system = _FIXED_POINT_SYSTEMS[name]()
+        method = HBVMMethod(s + extra_nodes, s)
+        y0 = amplitude * np.random.default_rng(seed).standard_normal(system.dim)
+        jac = _fd_jacobian(system.rhs, y0)
+        h = fraction / np.sqrt(np.max(np.sum(np.abs(jac @ jac), axis=1)))
+        cfg = SolverConfig(mode="fixed-point")
+        y_fp, _ = step(system, y0, h, method, cfg)
+        y_nd, _ = step(system, y0, h, method, replace(cfg, mode="simplified-newton-dense"))
+        assert np.max(np.abs(y_fp - y_nd)) <= 100 * cfg.tol * (1.0 + np.max(np.abs(y0)))
 
     def test_fd_jacobian_from_row_probes(self):
         # entry [i, j] is d rhs_i / d y_j, each probe scaled by its own step
@@ -372,6 +400,60 @@ class TestStepper:
         for n, (target, h, method, cfg) in enumerate(calls, start=1):
             step(target, y0, h, method, cfg)
             assert len(builds) == n
+
+
+def _cold_chain(system, y0, h, n_steps, method):
+    """n_steps steps, each by a fresh Stepper, so each stage solve starts from zero."""
+    y = y0
+    for _ in range(n_steps):
+        y, _ = Stepper(system, h, method)(y)
+    return y
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize(
+        "bc,scheme,k,s",
+        [("periodic", "fd6", 5, 1), ("dirichlet", "fd2", 6, 2)],
+        ids=["periodic-fd6-5-1", "dirichlet-fd2-6-2"],
+    )
+    def test_blended_chain_saves_iterations_and_keeps_the_solution(self, bc, scheme, k, s):
+        # blended steps from the last output start from the quadratic
+        # extrapolation of the last three coefficient blocks: about one
+        # iteration fewer (cold: 6.05 and 5.25 it/step), the same states to
+        # the accepted tolerance; Dirichlet solves on the banded factor
+        system, y0 = problems.sine_gordon_system(gamma=1.0, bc=bc, scheme=scheme, N=400)
+        method = HBVMMethod(k, s)
+        rec = integrate(system, y0, 0.1, 150, method, record_stride=0)
+        assert rec.mode == "blended"
+        assert rec.iterations.mean() <= 5.1
+        cold = _cold_chain(system, y0, 0.1, 150, method)
+        assert np.max(np.abs(rec.final_state - cold)) <= 1e-12 * np.max(np.abs(cold))
+
+    def test_other_state_starts_cold(self):
+        # only the state the Stepper last returned continues its chain; any
+        # other, one rounding unit away included, is solved as by a fresh one
+        system, y0 = problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd6", N=64)
+        method = HBVMMethod(6, 2)
+        stepper = Stepper(system, 0.1, method)
+        y = y0
+        for _ in range(4):
+            y, _ = stepper(y)
+        nudged = y.copy()
+        nudged[5] = np.nextafter(nudged[5], np.inf)
+        for other in (nudged, y0):
+            got, diag = stepper(other)
+            fresh, fresh_diag = Stepper(system, 0.1, method)(other)
+            np.testing.assert_array_equal(got, fresh)
+            assert (diag.iterations, diag.residual) == (fresh_diag.iterations, fresh_diag.residual)
+
+    def test_fixed_point_keeps_starting_cold(self):
+        # a warm start would carry the fixed point's uncontracted stiff modes
+        # from step to step: at this h the one-step start took 15 it/step and
+        # the quadratic start failed at step 9
+        system, y0 = problems.nls_system(N=256)
+        rec = integrate(system, y0, 5e-4, 20, HBVMMethod(6, 2), record_stride=0)
+        assert rec.mode == "fixed-point"
+        np.testing.assert_array_equal(rec.iterations, 5)
 
 
 _REVERSIBLE_SYSTEMS = {

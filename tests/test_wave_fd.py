@@ -131,6 +131,35 @@ class TestStencilOperator:
             with pytest.raises(ValueError):
                 StencilOperator(15, bc, order, 0.1)
 
+    @pytest.mark.parametrize(
+        "bc,order,minimum",
+        [("periodic", 2, 3), ("periodic", 4, 5), ("periodic", 6, 7), ("dirichlet", 2, 3), ("neumann", 2, 3)],
+    )
+    def test_too_few_nodes_rejected_at_construction(self, bc, order, minimum):
+        # a stencil wider than the grid used to end in a numpy broadcast
+        # error inside apply; the smallest accepted grid applies cleanly
+        for n in range(-1, minimum):
+            with pytest.raises(ValueError, match=rf"n >= {minimum} .*got n={n}$"):
+                StencilOperator(n, bc, order, 0.1)
+        op = StencilOperator(minimum, bc, order, 0.1)
+        assert op.apply(np.ones((2, minimum))).shape == (2, minimum)
+
+    def test_builders_reject_small_meshes(self):
+        # N = 0 (periodic) and N = -1 (boundary-forced) would divide by zero
+        # before the operator checks its reach
+        fns = (ZERO, ZERO, ZERO, ZERO)
+        builders = {
+            "periodic": lambda N: build_periodic(N, 2, (0.0, 1.0), ZERO, ZERO),
+            "dirichlet": lambda N: build_dirichlet(N, (0.0, 1.0), ZERO, ZERO, BoundaryData("dirichlet", *fns)),
+            "neumann": lambda N: build_neumann(N, (0.0, 1.0), ZERO, ZERO, BoundaryData("neumann", *fns)),
+            "nls": lambda N: problems.build_nls_periodic(N, (0.0, 1.0), 1.0),
+        }
+        for name, build in builders.items():
+            for N in (-1, 0, 1, 2):
+                with pytest.raises(ValueError, match="N must be at least 1|n >= 3"):
+                    build(N)
+            assert build(3).skew.n == 3, name
+
     def test_symbol_matches_eigenvalues(self):
         op = StencilOperator(16, "periodic", 4, 0.1)
         dense = np.column_stack([op.apply(col) for col in np.eye(16)])
