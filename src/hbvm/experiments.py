@@ -139,8 +139,7 @@ def build_run(config: RunConfig):
     on the comparison grid when available (None otherwise).
 
     A builder's ValueError (each knows its own smallest mesh) becomes a
-    ConfigError, as does a blended solver on a system without a separable
-    form and a stiffness preconditioner.
+    ConfigError.
     """
     config.validate()
     if config.problem == "quartic-wave" and config.bc != "periodic":
@@ -158,9 +157,6 @@ def build_run(config: RunConfig):
             system, y0 = problems.nls_system(N=config.N, kappa=config.kappa)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    sep = system.separable
-    if config.solver == "blended" and (sep is None or sep.make_preconditioner is None):
-        raise ConfigError(f"the blended solver needs a separable system with a preconditioner; {config.problem} has none")
     sample = None
     if config.problem == "sine-gordon" and config.bc == "periodic":
         grid = _sampler(system)[1]

@@ -10,12 +10,13 @@ oracles.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
 
 from .legendre import check_count
-from .systems import SemiDiscreteSystem, SeparableForm, SkewStructure, separable_system, shifted_solver
+from .systems import SemiDiscreteSystem, SemilinearForm, SeparableForm, SkewStructure, separable_system, shifted_solver
 from .wave_fd import BoundaryData, StencilOperator, build_dirichlet, build_neumann, build_periodic, _energy_sum
 from .wave_fourier import build_fourier
 
@@ -30,6 +31,7 @@ __all__ = [
     "quartic_wave_system",
     "build_nls_periodic",
     "nls_system",
+    "nls_plane_wave",
     "harmonic_oscillator",
     "quartic_oscillator",
     "pendulum",
@@ -205,7 +207,10 @@ def build_nls_periodic(N: int, domain, kappa: float) -> SemiDiscreteSystem:
 
     udot = T v / dx^2 - 2 kappa (u^2+v^2) v, vdot = -T u / dx^2 + 2 kappa
     (u^2+v^2) u, conserving H = [u.Tu + v.Tv]/(2 dx) - (kappa dx / 2)
-    sum (u^2+v^2)^2.  Not separable; solved by the generic fixed point.
+    sum (u^2+v^2)^2.  Its semilinear form, psidot = g(psi) - L psi in
+    psi = u + i v, applies -J to the gradients of the two energy terms:
+    g = 2 i kappa |psi|^2 psi and L = i T / dx^2, which the FFT diagonalizes
+    with eigenvalues i t_j / dx^2 (t_j the symbol of T).
     """
     a, b = float(domain[0]), float(domain[1])
     check_count("N", N, 1)  # before dividing by it; StencilOperator checks the stencil's reach
@@ -226,30 +231,69 @@ def build_nls_periodic(N: int, domain, kappa: float) -> SemiDiscreteSystem:
         terms = (quad[0] + quad[1]) / (2.0 * dx) - 0.5 * kappa * dx * dens * dens
         return _energy_sum(terms)
 
-    def gradient(y):
-        uv = fields(y)
+    def quadratic_gradient(uv):
+        """Gradient of the stencil energy [u.Tu + v.Tv]/(2 dx)."""
+        return op.apply(uv) / dx
+
+    def quartic_gradient(uv):
+        """Gradient of the energy (kappa dx / 2) sum (u^2+v^2)^2 (with the opposite sign in H)."""
         u, v = uv[..., 0, :], uv[..., 1, :]
         dens = u * u + v * v
-        g = op.apply(uv) / dx - 2.0 * kappa * dx * dens[..., None, :] * uv
-        return g.reshape(np.shape(y))
+        return 2.0 * kappa * dx * dens[..., None, :] * uv
 
+    def gradient(y):
+        uv = fields(y)
+        return (quadratic_gradient(uv) - quartic_gradient(uv)).reshape(np.shape(y))
+
+    def minus_skew(grad):
+        """-J grad = (-grad_v; grad_u) / dx, flattened to states."""
+        return np.concatenate([-grad[..., 1, :], grad[..., 0, :]], axis=-1) / dx
+
+    def to_modes(rows):
+        psi = np.empty((len(rows), N), dtype=complex)
+        psi.real, psi.imag = rows[:, :N], rows[:, N:]
+        return np.fft.fft(psi)
+
+    def from_modes(modes):
+        psi = np.fft.ifft(modes)
+        return np.concatenate([psi.real, psi.imag], axis=1)
+
+    def make_preconditioner(shift):
+        return shifted_solver(shift, 1j * op.symbol() / dx**2, to_modes, from_modes)
+
+    form = SemilinearForm(
+        nonlinear=lambda y: minus_skew(quartic_gradient(fields(y))),
+        linear_operator=lambda y: minus_skew(quadratic_gradient(fields(y))),
+        make_preconditioner=make_preconditioner,
+    )
     return SemiDiscreteSystem(
         skew=SkewStructure(n=N, scale=1.0 / dx),
         hamiltonian=hamiltonian,
         gradient=gradient,
         descriptor={"name": "nls", "bc": "periodic", "domain": (a, b), "x": x, "dx": dx, "kappa": kappa},
+        semilinear=form,
     )
 
 
 def nls_system(N: int = 64, kappa: float = 1.0, domain=(0.0, 2.0 * np.pi), amplitude: float = 1.0, mode: int = 1):
-    """(system, y0) for the periodic NLS with plane-wave initial data."""
+    """(system, y0) for the periodic NLS with plane-wave initial data (nls_plane_wave at t = 0)."""
     system = build_nls_periodic(N, domain, kappa)
-    x = system.descriptor["x"]
-    L = domain[1] - domain[0]
-    k = 2.0 * np.pi * mode / L
-    u0 = amplitude * np.cos(k * (x - domain[0]))
-    v0 = amplitude * np.sin(k * (x - domain[0]))
-    return system, np.concatenate([u0, v0])
+    return system, nls_plane_wave(system, 0.0, amplitude, mode)
+
+
+def nls_plane_wave(system: SemiDiscreteSystem, t, amplitude: float = 1.0, mode: int = 1) -> np.ndarray:
+    """The exact solution of the semi-discrete NLS from nls_system's data: states (u; v) at times t.
+
+    psi = A exp(i (k (x - a) - omega t)) with k = 2 pi mode / (b - a) has |psi|^2 = A^2 and T psi =
+    t_k psi, t_k = 2 - 2 cos(k dx), so it solves the fd2 system with omega = t_k / dx^2 - 2 kappa A^2.
+    """
+    desc = system.descriptor
+    a, b = desc["domain"]
+    x, dx = desc["x"], desc["dx"]
+    k = 2.0 * np.pi * mode / (b - a)
+    omega = (2.0 - 2.0 * math.cos(k * dx)) / dx**2 - 2.0 * desc["kappa"] * amplitude**2
+    phase = k * (x - a) - omega * np.asarray(t, dtype=float)[..., None]
+    return np.concatenate([amplitude * np.cos(phase), amplitude * np.sin(phase)], axis=-1)
 
 
 def _oscillator(hamiltonian, accel, linear=None):

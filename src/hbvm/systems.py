@@ -21,6 +21,10 @@ remainder on the k stage rows, and separable_system reads the gradient off
 pdot.  With skew scale c, qdot = c dH/dp and pdot = -c dH/dq, so dH/dq =
 -pdot/c and dH/dp = p/c; for augmented systems ptdot = -dH/dqt = aug_rate
 and qtdot = dH/dpt = 1.
+
+Non-separable systems ydot = g(y) - L y (NLS) carry the same split in a
+SemilinearForm on rows of the full state, so the blended step solves their
+stiff part exactly too.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["SkewStructure", "SeparableForm", "SemiDiscreteSystem", "separable_system", "shifted_solver",
-           "hamiltonian_drift"]
+__all__ = ["SkewStructure", "SeparableForm", "SemilinearForm", "SemiDiscreteSystem", "separable_system",
+           "shifted_solver", "hamiltonian_drift"]
 
 
 @dataclass(frozen=True)
@@ -101,12 +105,28 @@ class SeparableForm:
 
 
 @dataclass(frozen=True)
+class SemilinearForm:
+    """First-order structure ydot = nonlinear(y) - L y on rows of the full state.
+
+    linear_operator applies the stiff linear part L and nonlinear is the
+    pointwise remainder g.  make_preconditioner(shift) returns an exact
+    solver of (I + shift (x) L) c = r on s rows for an s x s shift (h X),
+    leaving r untouched.
+    """
+
+    nonlinear: Callable[[np.ndarray], np.ndarray]
+    linear_operator: Callable[[np.ndarray], np.ndarray]
+    make_preconditioner: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
+
+
+@dataclass(frozen=True)
 class SemiDiscreteSystem:
     """Autonomous Hamiltonian system ydot = J grad H(y) with constant J.
 
     ``hamiltonian`` is the conserved energy: for boundary-forced systems the
     augmented Ht = H + pt, pt being the last slot of the state.  The state
-    length ``dim`` is the skew structure's.
+    length ``dim`` is the skew structure's.  At most one of ``separable``
+    and ``semilinear`` is set: the stiff-linear form the solvers use.
     """
 
     skew: SkewStructure
@@ -114,6 +134,7 @@ class SemiDiscreteSystem:
     gradient: Callable[[np.ndarray], np.ndarray]
     descriptor: dict = field(default_factory=dict)
     separable: Optional[SeparableForm] = None
+    semilinear: Optional[SemilinearForm] = None
 
     @cached_property
     def dim(self) -> int:
@@ -164,7 +185,9 @@ def shifted_solver(shift, eigenvalues, to_modes=None, from_modes=None) -> Callab
 
     The modes lie on the last axis (maps ``None``: L is diagonal in the rows).  Their s x s blocks
     I + eigenvalue * shift are factored together by LU without pivoting: for L >= 0 and shift = h^2 X^2,
-    s <= 6, no pivot falls below 0.018 of its block's largest entry.  At s = 1 a solve is one divide.
+    s <= 6, no pivot falls below 0.018 of its block's largest entry; for the complex blocks I + i tau X
+    of shift = h X and imaginary eigenvalues (|tau| in [1e-3, 1e6]), none below 1/(2s - 1).  At s = 1 a
+    solve is one divide.
     """
     s = len(shift)
     lu = np.multiply.outer(shift, eigenvalues)

@@ -286,16 +286,18 @@ class TestCLI:
         assert err.startswith("configuration error:") and "level" in err
 
     @pytest.mark.parametrize("command", ["solve", "drift"])
-    def test_blended_on_non_separable_is_a_config_error(self, command, capsys):
-        # rejected before any step, not reported as a solver failure (exit 3)
-        argv = [command, "--problem", "nls", "-N", "16", "--h", "0.001", "--steps", "2", "--solver", "blended"]
+    def test_blended_on_nls_runs(self, command, tmp_path):
+        # NLS states its stiff linear part in a semilinear form, so the
+        # blended solver runs it like the wave systems
+        out = str(tmp_path / "nls")
+        argv = [command, "--problem", "nls", "-N", "16", "--h", "0.001", "--steps", "2", "--solver", "blended",
+                "--out", out]
         if command == "drift":
             argv += ["--methods", "hbvm(5,1)"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and "blended" in err
-        with pytest.raises(ConfigError, match="blended"):
-            build_run(RunConfig(problem="nls", N=16, h=0.001, steps=2, solver="blended"))
+        assert main(argv) == 0
+        if command == "solve":
+            assert json.loads((tmp_path / "nls_summary.json").read_text())["solver_mode"] == "blended"
+        build_run(RunConfig(problem="nls", N=16, h=0.001, steps=2, solver="blended"))
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.json"

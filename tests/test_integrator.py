@@ -86,6 +86,9 @@ _PRECONDITIONED = {
     "dirichlet-fd2": lambda: problems.sine_gordon_system(gamma=1.0, bc="dirichlet", scheme="fd2", N=64)[0],
     "fourier": lambda: problems.sine_gordon_system(gamma=1.0, scheme="fourier", N=16, m=32)[0],
     "harmonic": lambda: problems.harmonic_oscillator(omega=2.0),
+    # h |L| reaches 200 at N=64; the small kappa keeps h 2 kappa |psi|^2, the
+    # part the blended step iterates on, contracting for the drawn states
+    "nls": lambda: problems.nls_system(N=64, kappa=0.02)[0],
 }
 
 _FIXED_POINT_SYSTEMS = {**_PRECONDITIONED, "nls": lambda: problems.nls_system(N=16)[0]}
@@ -168,8 +171,9 @@ class TestCoefficientSolvers:
         amplitude=st.floats(0.1, 2.0),
     )
     def test_blended_matches_dense_newton(self, name, s, extra_nodes, h, seed, amplitude):
-        # the exact stiff-linear step and the dense simplified-Newton oracle
-        # solve the same stage equations
+        # the exact stiff-linear step (I + h^2 X^2 (x) L on the separable
+        # systems, I + h X (x) L on NLS) and the dense simplified-Newton
+        # oracle solve the same stage equations
         system = _PRECONDITIONED[name]()
         method = HBVMMethod(s + extra_nodes, s)
         y0 = amplitude * np.random.default_rng(seed).standard_normal(system.dim)
@@ -212,17 +216,19 @@ class TestCoefficientSolvers:
         exact = np.array([[0.0, 1.0], [-np.cos(1.3), 0.0]])
         np.testing.assert_allclose(_fd_jacobian(problems.pendulum().rhs, y), exact, atol=1e-8)
 
-    @pytest.mark.parametrize("mode,probes", [("fixed-point", 0), ("simplified-newton-dense", 2)])
+    @pytest.mark.parametrize("mode,probes", [("fixed-point", 0), ("blended", 0), ("simplified-newton-dense", 2)])
     def test_generic_solve_evaluates_all_stages_in_one_call(self, mode, probes):
-        # one gradient call on the k stage rows per iteration, plus the two
-        # probe calls of the finite-difference Jacobian for dense Newton
+        # one gradient (blended: nonlinear) call on the k stage rows per
+        # iteration, plus the two probe calls of the finite-difference
+        # Jacobian for dense Newton
         system, y0 = problems.nls_system(N=16)
         system, calls = _counting(system)
         _, diag = step(system, y0, 0.01, HBVMMethod(5, 1), SolverConfig(mode=mode))
         assert len(calls) == diag.iterations + probes
 
-    def test_blended_rejected_for_non_separable(self):
-        system, y0 = problems.nls_system(N=16)
+    def test_blended_rejected_without_a_stiff_part(self):
+        # the pendulum's force is all pointwise: no L for the blended step to solve
+        system, y0 = problems.pendulum(), np.array([0.5, 1.0])
         with pytest.raises(SolverError):
             Stepper(system, 0.01, HBVMMethod(2, 1), SolverConfig(mode="blended")).coefficients(y0)
         with pytest.raises(SolverError):
@@ -247,6 +253,9 @@ def _counting(system):
     if system.separable is not None:
         accel = system.separable.accel
         changes["separable"] = replace(system.separable, accel=lambda q, t: calls.append(1) or accel(q, t))
+    if system.semilinear is not None:
+        nonlinear = system.semilinear.nonlinear
+        changes["semilinear"] = replace(system.semilinear, nonlinear=lambda y: calls.append(1) or nonlinear(y))
     return replace(system, **changes), calls
 
 
@@ -299,14 +308,15 @@ class TestFailFast:
         # stops as stalled, naming tol.  Both stop ten iterations after the
         # smallest update
         system, y0 = problems.nls_system(N=64)
+        cfg = SolverConfig(mode="fixed-point")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepFailure, match="diverging") as fail:
-                integrate(system, y0, 0.01, 5, HBVMMethod(5, 1))
+                integrate(system, y0, 0.01, 5, HBVMMethod(5, 1), cfg)
             assert fail.value.step_index == 1
             assert fail.value.diagnostics.iterations <= 20
             with pytest.raises(StepFailure, match=r"stalled at residual \S+ above tol 2\.0e-15") as fail:
-                integrate(system, y0, 0.005, 40, HBVMMethod(5, 1))
+                integrate(system, y0, 0.005, 40, HBVMMethod(5, 1), cfg)
             assert fail.value.step_index == 16
             assert fail.value.diagnostics.iterations <= 20
 
@@ -325,6 +335,7 @@ class TestFailFast:
             ("fd6", "blended"),
             ("fd6", "simplified-newton-dense"),
             ("nls", "fixed-point"),
+            ("nls", "blended"),
             ("nls", "simplified-newton-dense"),
         ],
     )
@@ -334,7 +345,8 @@ class TestFailFast:
             nan_accel = lambda q, t: np.full_like(q, np.nan)
             system = replace(system, separable=replace(system.separable, accel=nan_accel))
         else:
-            system = replace(system, gradient=lambda y: np.full_like(y, np.nan))
+            nan_field = lambda y: np.full_like(y, np.nan)
+            system = replace(system, gradient=nan_field, semilinear=replace(system.semilinear, nonlinear=nan_field))
         with pytest.raises(SolverError, match=f"{mode} .*non-finite residual at iteration 1") as err:
             step(system, y0, 0.01, HBVMMethod(3, 1), SolverConfig(mode=mode))
         assert err.value.diagnostics.iterations <= 2
@@ -410,23 +422,32 @@ def _cold_chain(system, y0, h, n_steps, method):
     return y
 
 
+_WARM_CASES = {
+    # (system and y0, h, method, it/step bound); cold: 6.05, 5.25 and 6.00 it/step
+    "periodic-fd6-5-1": (
+        lambda: problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd6", N=400), 0.1, HBVMMethod(5, 1), 5.1
+    ),
+    "dirichlet-fd2-6-2": (
+        lambda: problems.sine_gordon_system(gamma=1.0, bc="dirichlet", scheme="fd2", N=400), 0.1, HBVMMethod(6, 2), 5.1
+    ),
+    "nls-fd2-5-1": (lambda: problems.nls_system(N=64), 0.002, HBVMMethod(5, 1), 3.1),
+}
+
+
 class TestWarmStart:
-    @pytest.mark.parametrize(
-        "bc,scheme,k,s",
-        [("periodic", "fd6", 5, 1), ("dirichlet", "fd2", 6, 2)],
-        ids=["periodic-fd6-5-1", "dirichlet-fd2-6-2"],
-    )
-    def test_blended_chain_saves_iterations_and_keeps_the_solution(self, bc, scheme, k, s):
+    @pytest.mark.parametrize("name", sorted(_WARM_CASES))
+    def test_blended_chain_saves_iterations_and_keeps_the_solution(self, name):
         # blended steps from the last output start from the quadratic
-        # extrapolation of the last three coefficient blocks: about one
-        # iteration fewer (cold: 6.05 and 5.25 it/step), the same states to
-        # the accepted tolerance; Dirichlet solves on the banded factor
-        system, y0 = problems.sine_gordon_system(gamma=1.0, bc=bc, scheme=scheme, N=400)
-        method = HBVMMethod(k, s)
-        rec = integrate(system, y0, 0.1, 150, method, record_stride=0)
+        # extrapolation of the last three coefficient blocks: one iteration
+        # fewer on the wave systems, half of them on NLS, the same states to
+        # the accepted tolerance; Dirichlet solves on the banded factor, NLS
+        # on the complex blocks of I + h X (x) L
+        build, h, method, bound = _WARM_CASES[name]
+        system, y0 = build()
+        rec = integrate(system, y0, h, 150, method, record_stride=0)
         assert rec.mode == "blended"
-        assert rec.iterations.mean() <= 5.1
-        cold = _cold_chain(system, y0, 0.1, 150, method)
+        assert rec.iterations.mean() <= bound
+        cold = _cold_chain(system, y0, h, 150, method)
         assert np.max(np.abs(rec.final_state - cold)) <= 1e-12 * np.max(np.abs(cold))
 
     def test_other_state_starts_cold(self):
@@ -451,7 +472,7 @@ class TestWarmStart:
         # from step to step: at this h the one-step start took 15 it/step and
         # the quadratic start failed at step 9
         system, y0 = problems.nls_system(N=256)
-        rec = integrate(system, y0, 5e-4, 20, HBVMMethod(6, 2), record_stride=0)
+        rec = integrate(system, y0, 5e-4, 20, HBVMMethod(6, 2), SolverConfig(mode="fixed-point"), record_stride=0)
         assert rec.mode == "fixed-point"
         np.testing.assert_array_equal(rec.iterations, 5)
 
@@ -622,7 +643,7 @@ class TestIntegrate:
         # its coefficient updates end near 1e-13; scaled by h = 2e-4 they
         # change the step's output by less than tol, which every step meets
         system, y0 = problems.nls_system(N=256)
-        cfg = SolverConfig()
+        cfg = SolverConfig(mode="fixed-point")
         rec = integrate(system, y0, 2e-4, 10, HBVMMethod(k, s), cfg, record_stride=0)
         assert np.all(rec.residuals <= cfg.tol)
         assert np.max(np.abs(rec.drift)) <= 1e-13
@@ -639,14 +660,21 @@ class TestIntegrate:
         # by 3e-15 .. 2e-12 (median 2e-14), the sixth on 95% of the steps by
         # less than 2e-15; a default tol inside the fifth band (1e-14) let a
         # 1% change of gamma move a third of the steps from five iterations
-        # to six
-        counts = []
-        for gamma in (0.99, 1.0, 1.01):
-            system, y0 = problems.sine_gordon_system(gamma=gamma, scheme="fd6", N=400)
-            rec = integrate(system, y0, 0.1, 150, HBVMMethod(5, 1), record_stride=0)
-            counts.append(rec.iterations)
-        np.testing.assert_array_equal(counts[0], counts[1])
-        np.testing.assert_array_equal(counts[2], counts[1])
+        # to six.  The same holds for a 1% change of the NLS amplitude on the
+        # warm-started exact stiff step
+        cases = [
+            (lambda gamma: problems.sine_gordon_system(gamma=gamma, scheme="fd6", N=400), 0.1),
+            (lambda amplitude: problems.nls_system(N=64, amplitude=amplitude), 0.002),
+        ]
+        for build, h in cases:
+            counts = []
+            for scale in (0.99, 1.0, 1.01):
+                system, y0 = build(scale)
+                rec = integrate(system, y0, h, 150, HBVMMethod(5, 1), record_stride=0)
+                assert rec.mode == "blended"
+                counts.append(rec.iterations)
+            np.testing.assert_array_equal(counts[0], counts[1])
+            np.testing.assert_array_equal(counts[2], counts[1])
 
     def test_observer_and_stride(self):
         system = problems.harmonic_oscillator()

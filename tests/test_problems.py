@@ -122,3 +122,21 @@ class TestNLS:
         with pytest.raises(ValueError):
             problems.build_nls_periodic(2, (0.0, 1.0), 1.0)
 
+    def test_blended_step_meets_the_plane_wave_at_h_dx(self):
+        # N=256 at h = dx, about 50 times the fixed point's largest stepsize:
+        # the exact stiff step keeps the energy at roundoff, and HBVM(5,1)
+        # (order 2) meets the exact semi-discrete plane wave, its error
+        # falling by 4 when h halves
+        system, y0 = problems.nls_system(N=256)
+        dx = system.descriptor["dx"]
+        np.testing.assert_array_equal(problems.nls_plane_wave(system, 0.0), y0)
+        errors = []
+        for h, n_steps in ((dx, 100), (dx / 2, 200)):
+            rec = integrate(system, y0, h, n_steps, HBVMMethod(5, 1), record_stride=0)
+            assert rec.mode == "blended"
+            assert np.max(np.abs(rec.drift)) <= 1e-13
+            exact = problems.nls_plane_wave(system, rec.record_times)
+            errors.append(np.max(np.abs(rec.states - exact)))
+        assert errors[0] <= 1e-3
+        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
+

@@ -22,6 +22,7 @@ _SHIFTED_SYSTEMS = {
     "neumann-fd2": lambda: problems.sine_gordon_system(gamma=1.0, bc="neumann", scheme="fd2", N=24)[0],
     "fourier": lambda: problems.sine_gordon_system(gamma=1.0, scheme="fourier", N=8, m=16)[0],
     "harmonic": lambda: problems.harmonic_oscillator(omega=3.0),
+    "nls": lambda: problems.nls_system(N=12)[0],
 }
 
 
@@ -171,19 +172,22 @@ class TestStencilOperator:
     @pytest.mark.parametrize("name", sorted(_SHIFTED_SYSTEMS))
     def test_preconditioner_is_exact(self, name, rng):
         # make_preconditioner(shift) inverts I + shift (x) L on s rows for the
-        # HBVM shift h^2 X^2, wide stencils, boundaries and spectral L included,
-        # and leaves its argument untouched
-        sep = _SHIFTED_SYSTEMS[name]().separable
-        jac = sep.linear_operator(np.eye(sep.nq)).T
+        # HBVM shift, h^2 X^2 of the separable forms and h X of the NLS
+        # semilinear form (complex blocks), wide stencils, boundaries and
+        # spectral L included, and leaves its argument untouched
+        system = _SHIFTED_SYSTEMS[name]()
+        form = system.separable or system.semilinear
+        n = system.separable.nq if system.separable else system.dim
+        jac = form.linear_operator(np.eye(n)).T
         for s in (1, 2, 3, 6):
             xs = hbvm_tables(s, s).integration_matrix
             for h in (0.05, 2.0, 50.0):
-                shift = h * h * (xs @ xs)
-                dense = np.eye(s * sep.nq) + np.kron(shift, jac)
-                rows = rng.standard_normal((s, sep.nq))
+                shift = h * h * (xs @ xs) if system.separable else h * xs
+                dense = np.eye(s * n) + np.kron(shift, jac)
+                rows = rng.standard_normal((s, n))
                 kept = rows.copy()
-                expected = np.linalg.solve(dense, rows.ravel()).reshape(s, sep.nq)
-                np.testing.assert_allclose(sep.make_preconditioner(shift)(rows), expected, atol=1e-12)
+                expected = np.linalg.solve(dense, rows.ravel()).reshape(s, n)
+                np.testing.assert_allclose(form.make_preconditioner(shift)(rows), expected, atol=1e-12)
                 np.testing.assert_array_equal(rows, kept)
 
 
