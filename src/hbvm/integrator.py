@@ -312,9 +312,8 @@ def _separable_solver(system, h, tab, cfg, mode):
             y1[:nq] = q0 + h * p0 + h * h * np.dot(tab.integration_matrix[0], coeffs)
             if system.augmented:
                 stage_q = base + h * h * (tab.stage_weights @ coeffs)
-                stage_p = p0[None, :] + h * (tab.node_integrals @ coeffs)
                 y1[2 * nq] = t0 + h
-                y1[2 * nq + 1] = y0[2 * nq + 1] + h * float(tab.weights @ sep.aug_rate(stage_q, stage_p, times))
+                y1[2 * nq + 1] = y0[2 * nq + 1] + h * float(tab.weights @ sep.aug_rate(stage_q, times))
             return y1
 
         coeffs, diag = _iterate(target, start, y0, h, cfg, mode)

@@ -82,14 +82,15 @@ class SeparableForm:
     ``None`` means the identity, as for finite differences, whose unknowns
     are the grid values.  make_preconditioner(shift) returns an exact solver
     of (I + shift (x) L) c = r on s coefficient rows for an s x s shift (h^2
-    X^2), leaving r untouched.  aug_rate gives ptdot at augmented stages.
+    X^2), leaving r untouched.  aug_rate(q, t) gives ptdot at rows of q and
+    their times: it reads positions only, so a solver needs no stage momenta.
     """
 
     nq: int
     accel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     make_preconditioner: Optional[Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None
     linear_operator: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    aug_rate: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    aug_rate: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     to_grid: Optional[Callable[[np.ndarray], np.ndarray]] = None
     from_grid: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -173,7 +174,7 @@ def separable_system(form, scale, hamiltonian, descriptor) -> SemiDiscreteSystem
         g[:, :n] = -pdot(q, t) / scale
         g[:, n : 2 * n] = p / scale
         if skew.augmented:
-            g[:, 2 * n] = -aug_rate(q, p, t)
+            g[:, 2 * n] = -aug_rate(q, t)
             g[:, 2 * n + 1] = 1.0
         return g.reshape(np.shape(y))
 

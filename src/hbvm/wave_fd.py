@@ -3,9 +3,10 @@
 u_tt = u_xx - f'(u) on [a, b], discretized on a uniform grid.  The negative
 scaled Laplacian is a symmetric stencil operator: circulant for periodic
 boundary conditions (second, fourth, or sixth order), tridiagonal for
-Dirichlet and Neumann.  Boundary-forced problems are returned in augmented
-autonomous form with the conjugate time pair appended to the state, so a
-single integrator code path handles all three cases.
+Dirichlet and Neumann.  Boundary-forced problems are the non-autonomous
+H0(q, p) + beta(t).(q_1, q_N) + c(t), returned in augmented autonomous form
+with the conjugate time pair appended to the state, so a single integrator
+code path handles all three cases.
 
 Stencils are stored as per-offset second-difference weights w_r, with
 (T q)_i = sum_r w_r (2 q_i - q_{i-r} - q_{i+r}); conserved energies are
@@ -43,6 +44,9 @@ _DIFF_WEIGHTS = {
 }
 # Corner entries of a tridiagonal T are 1 + corner (None: circulant, no corners).
 _CORNERS = {"periodic": None, "dirichlet": 1.0, "neumann": 0.0}
+# Boundary forcing per kind as functions of dx: the weights b of beta = (b_0 g_0, b_1 g_1) and the
+# weight w of c = w (g_0^2 + g_1^2), g being the boundary values (Dirichlet) or slopes (Neumann).
+_FORCING = {"dirichlet": lambda dx: ((-1.0 / dx, -1.0 / dx), 0.5 / dx), "neumann": lambda dx: ((1.0, -1.0), 0.5 * dx)}
 
 
 def _energy_sum(terms: np.ndarray) -> float:
@@ -211,15 +215,18 @@ def build_periodic(N: int, order: int, domain, f, fprime, name: str = "wave") ->
     return _stencil_system(op, (a, b), x, name, hamiltonian, accel)
 
 
-def _augmented_system(N, domain, f, fprime, boundary, kind, name, forcing) -> SemiDiscreteSystem:
+def _augmented_system(N, domain, f, fprime, boundary, kind, name) -> SemiDiscreteSystem:
     """Boundary-forced system in augmented autonomous form (dim 2N+2).
 
-    Interior nodes x_i = a + i dx, i = 1..N, dx = (b-a)/(N+1); the conserved
-    energy is Ht = H(q, p, t) + pt.  forcing(dx) returns the three boundary
-    closures: energy(core, q, t) -> H from the interior energy core;
-    accel(out, times) adds the boundary forcing to the stage forces;
-    aug_rate(stage_q, stage_p, times) -> ptdot.  The gradient, qt-slot
-    included, is read off them by separable_system.
+    Interior nodes x_i = a + i dx, i = 1..N, dx = (b-a)/(N+1).  The forced
+    problem is the non-autonomous H(q, p, t) = H0(q, p) + beta(t).(q_1, q_N)
+    + c(t), H0 the interior energy of the stencil T, with beta = b g(t) and
+    c = w |g(t)|^2 in the boundary functions g = (g_0, g_1) and the
+    coefficients (b, w) of _FORCING.  Everything else is derived from beta
+    and c: the conserved energy Ht = H + pt, the end-node force -beta/dx in
+    accel, and ptdot = aug_rate(q, t) = -beta'(t).(q_1, q_N) - c'(t), which
+    reads q only.  The gradient, qt-slot included, is read off them by
+    separable_system.
     """
     if boundary.kind != kind:
         raise ValueError(f"build_{kind} requires {kind.capitalize()} boundary data")
@@ -227,17 +234,28 @@ def _augmented_system(N, domain, f, fprime, boundary, kind, name, forcing) -> Se
     check_count("N", N, 1)  # before dividing by N + 1; StencilOperator checks the stencil's reach
     dx = (b - a) / (N + 1)
     op = StencilOperator(N, kind, 2, dx)
-    energy, boundary_accel, aug_rate = forcing(dx)
+    (b0, b1), w = _FORCING[kind](dx)
+
+    def values(t, left=boundary.left, right=boundary.right):
+        return np.asarray(left(t), dtype=float), np.asarray(right(t), dtype=float)
 
     def hamiltonian(y):
-        q, p, qt = y[:N], y[N : 2 * N], y[2 * N]
+        q, p, t = y[:N], y[N : 2 * N], y[2 * N]
+        g0, g1 = values(t)
         terms = 0.5 * p * p + q * op.apply(q) / (2.0 * dx**2) + f(q)
-        return energy(dx * _energy_sum(terms), q, qt) + y[2 * N + 1]
+        forcing = b0 * g0 * q[0] + b1 * g1 * q[-1] + w * (g0 * g0 + g1 * g1)  # beta(t).(q_1, q_N) + c(t)
+        return dx * _energy_sum(terms) + forcing + y[2 * N + 1]
 
     def accel(stages, times):
+        g0, g1 = values(times)
         out = -fprime(stages)
-        boundary_accel(out, times)
+        out[:, 0] -= b0 * g0 / dx
+        out[:, -1] -= b1 * g1 / dx
         return out
+
+    def aug_rate(q, times):
+        (g0, g1), (d0, d1) = values(times), values(times, boundary.left_deriv, boundary.right_deriv)
+        return -(b0 * d0 * q[:, 0] + b1 * d1 * q[:, -1]) - 2.0 * w * (g0 * d0 + g1 * d1)
 
     x = a + dx * np.arange(1, N + 1)
     return _stencil_system(op, (a, b), x, name, hamiltonian, accel, aug_rate)
@@ -246,64 +264,20 @@ def _augmented_system(N, domain, f, fprime, boundary, kind, name, forcing) -> Se
 def build_dirichlet(N: int, domain, f, fprime, boundary: BoundaryData, name: str = "wave") -> SemiDiscreteSystem:
     """Dirichlet semi-discretization in augmented autonomous form (dim 2N+2).
 
-    The boundary values enter the momentum equation as a forcing phi(t)/dx^2
-    on the first and last nodes (grid and energy as in _augmented_system).
+    The boundary values g enter the end nodes' stencil rows: beta = -g/dx
+    and c = |g|^2/(2 dx), so they force the momentum equation as g/dx^2
+    (grid and energy as in _augmented_system).
     """
-    g0, g0d, g1, g1d = boundary.left, boundary.left_deriv, boundary.right, boundary.right_deriv
-
-    def forcing(dx):
-        def energy(core, q, t):
-            v0, v1 = float(g0(t)), float(g1(t))
-            return core + (v0 * v0 + v1 * v1) / (2.0 * dx) - (q[0] * v0 + q[-1] * v1) / dx
-
-        def accel(out, times):
-            out[:, 0] += np.asarray(g0(times), dtype=float) / dx**2
-            out[:, -1] += np.asarray(g1(times), dtype=float) / dx**2
-
-        def aug_rate(stage_q, stage_p, times):
-            v0 = np.asarray(g0(times), dtype=float)
-            v1 = np.asarray(g1(times), dtype=float)
-            d0 = np.asarray(g0d(times), dtype=float)
-            d1 = np.asarray(g1d(times), dtype=float)
-            return -((v0 - stage_q[:, 0]) * d0 + (v1 - stage_q[:, -1]) * d1) / dx
-
-        return energy, accel, aug_rate
-
-    return _augmented_system(N, domain, f, fprime, boundary, "dirichlet", name, forcing)
+    return _augmented_system(N, domain, f, fprime, boundary, "dirichlet", name)
 
 
 def build_neumann(N: int, domain, f, fprime, boundary: BoundaryData, name: str = "wave") -> SemiDiscreteSystem:
     """Neumann semi-discretization in augmented autonomous form (dim 2N+2).
 
     Ghost values u_0 = u_1 - phi_0 dx and u_{N+1} = u_N + phi_1 dx encode the
-    prescribed slopes; the stencil corners drop to 1 and the slopes force the
-    momentum equation at strength 1/dx.  The qt-slot of the gradient is the
-    effective one, -aug_rate by construction (ptdot depends on the boundary
-    momenta), so ydot = J grad Ht holds and Ht = H + pt is invariant along
-    the exact semi-discrete flow.  Because that slot couples to the momenta,
-    the quadrature-exactness argument behind the integrator leaves an
-    O(h^(2s+1)) per-step remainder scaling with products of the slope
-    magnitudes, independent of k; it sits at roundoff for weakly forced
-    boundaries.
+    prescribed slopes phi: the stencil corners drop to 1, beta = (phi_0,
+    -phi_1) forces the end nodes at strength 1/dx, and c = dx |phi|^2 / 2 is
+    the ghost edges' energy.  So H = E + phi_0 q_1 - phi_1 q_N, E being the
+    ghost-cell energy (grid and energy as in _augmented_system).
     """
-    s0, s0d, s1, s1d = boundary.left, boundary.left_deriv, boundary.right, boundary.right_deriv
-
-    def forcing(dx):
-        def energy(core, q, t):
-            v0, v1 = float(s0(t)), float(s1(t))
-            return core + 0.5 * dx * (v0 * v0 + v1 * v1)
-
-        def accel(out, times):
-            out[:, 0] -= np.asarray(s0(times), dtype=float) / dx
-            out[:, -1] += np.asarray(s1(times), dtype=float) / dx
-
-        def aug_rate(stage_q, stage_p, times):
-            v0 = np.asarray(s0(times), dtype=float)
-            v1 = np.asarray(s1(times), dtype=float)
-            d0 = np.asarray(s0d(times), dtype=float)
-            d1 = np.asarray(s1d(times), dtype=float)
-            return v0 * (stage_p[:, 0] - dx * d0) - v1 * (stage_p[:, -1] + dx * d1)
-
-        return energy, accel, aug_rate
-
-    return _augmented_system(N, domain, f, fprime, boundary, "neumann", name, forcing)
+    return _augmented_system(N, domain, f, fprime, boundary, "neumann", name)

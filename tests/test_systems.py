@@ -135,21 +135,23 @@ class TestForceContract:
 
 class TestGradientContract:
     def test_gradient_matches_finite_differences(self, rng):
-        # componentwise central differences at perturbation 1e-6; the
-        # time-slot of the Neumann system is exempt: its rate couples to the
-        # boundary momenta, so it is checked against the dynamics instead.
+        # componentwise central differences at perturbation 1e-6, on 25
+        # sampled slots and, for augmented systems, always the qt-slot: it is
+        # dH/dt of the non-autonomous energy, -aug_rate.  The extra pair on
+        # (-2, 2) is forced at O(1), where a wrong qt-slot shows.
         eps = 1e-6
-        for name, (system, y0) in build_all_systems().items():
+        systems = build_all_systems()
+        for bc in ("dirichlet", "neumann"):
+            systems[f"{bc}-forced"] = problems.sine_gordon_system(bc=bc, N=40, domain=(-2.0, 2.0))
+        for name, (system, y0) in systems.items():
             y = y0 + 0.1 * rng.standard_normal(system.dim)
             if system.augmented:
                 y[2 * system.skew.n] = 0.3
             g = system.gradient(y)
-            skip = {2 * system.skew.n} if name == "neumann" else set()
             idx = list(range(system.dim))
             rng.shuffle(idx)
-            for i in idx[:25]:
-                if i in skip:
-                    continue
+            checked = idx[:25] + ([2 * system.skew.n] if system.augmented else [])
+            for i in checked:
                 d = np.zeros(system.dim)
                 d[i] = eps
                 fd = (system.hamiltonian(y + d) - system.hamiltonian(y - d)) / (2 * eps)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 from conftest import reference_solve
@@ -37,6 +38,14 @@ def build_sg_augmented(bc, N, domain):
     psi0, psi1 = problems.sine_gordon_initial(1.0)
     y0 = np.concatenate([psi0(x), psi1(x), [0.0, 0.0]])
     return system, y0, boundary
+
+
+def ghost_cell_energy(system, bdata, q, p, t):
+    """Sine-Gordon Neumann energy E from ghost values u_0 = u_1 - phi_0 dx and
+    u_{N+1} = u_N + phi_1 dx, summed as squared differences."""
+    dx = system.descriptor["dx"]
+    ext = np.concatenate([[q[0] - float(bdata.left(t)) * dx], q, [q[-1] + float(bdata.right(t)) * dx]])
+    return dx * np.sum(0.5 * p * p + (1.0 - np.cos(q))) + 0.5 * np.sum((ext[1:] - ext[:-1]) ** 2) / dx
 
 
 def all_operators(n=20, dx=0.1):
@@ -338,42 +347,69 @@ class TestBuildNeumann:
         assert max(abs(v - h[0]) for v in h) <= 1e-10
 
     def test_vector_form_equals_expanded_scalar_form(self, rng):
-        # independent evaluation from ghost values and squared differences
+        # independent evaluation of the ghost-cell energy E; the forced
+        # energy adds beta(t).(q_1, q_N) = phi_0 q_1 - phi_1 q_N
         N = 18
         system, _, bdata = build_sg_augmented("neumann", N, (-2.0, 2.0))
-        dx = system.descriptor["dx"]
         for _ in range(5):
             q = rng.standard_normal(N)
             p = rng.standard_normal(N)
             t = rng.random()
-            u0 = q[0] - float(bdata.left(t)) * dx
-            u_np1 = q[-1] + float(bdata.right(t)) * dx
-            ext = np.concatenate([[u0], q, [u_np1]])
-            total = dx * np.sum(0.5 * p * p + (1.0 - np.cos(q)))
-            total += 0.5 * np.sum((ext[1:] - ext[:-1]) ** 2) / dx
+            total = ghost_cell_energy(system, bdata, q, p, t)
+            total += float(bdata.left(t)) * q[0] - float(bdata.right(t)) * q[-1]
             y = np.concatenate([q, p, [t, 0.0]])
             assert system.hamiltonian(y) == pytest.approx(total, rel=1e-12)
+
+    def test_energy_change_equals_boundary_flux_integral(self):
+        # E(T) - E(0) of the ghost-cell energy must match the time integral
+        # of the boundary power phi_1 p_N - phi_0 p_1 plus the rate of the
+        # ghost edges' energy dx (phi_0^2 + phi_1^2) / 2
+        system, y0, bdata = build_sg_augmented("neumann", 50, (-2.0, 2.0))
+        n = system.skew.n
+        dx = system.descriptor["dx"]
+        T = 1.0
+        sol = reference_solve(system, y0, (0.0, T))
+        ts = np.linspace(0.0, T, 1601)
+        states = sol.sol(ts)
+        flux = np.empty(ts.size)
+        for i, t in enumerate(ts):
+            p = states[n : 2 * n, i]
+            s0, s1 = float(bdata.left(t)), float(bdata.right(t))
+            d0, d1 = float(bdata.left_deriv(t)), float(bdata.right_deriv(t))
+            flux[i] = s1 * p[-1] - s0 * p[0] + dx * (s0 * d0 + s1 * d1)
+        energies = [ghost_cell_energy(system, bdata, states[:n, i], states[n : 2 * n, i], ts[i]) for i in (0, -1)]
+        change = energies[1] - energies[0]
+        assert abs(change) > 1e-3  # nontrivial energy exchange
+        assert change == pytest.approx(simpson(flux, x=ts), abs=1e-8)
 
     def test_requires_neumann_data(self):
         boundary = problems.sine_gordon_boundary_data(1.0, "dirichlet")
         with pytest.raises(ValueError):
             build_neumann(10, (0.0, 1.0), ZERO, ZERO, boundary)
 
-    def test_strong_forcing_energy_defect_scales_with_method_order(self):
-        # the momentum coupling of the time slot leaves an O(h^(2s)) global
-        # energy remainder under O(1) slopes, no matter how large k is;
-        # the Dirichlet counterpart stays at roundoff
+
+class TestStrongForcingConservation:
+    @settings(max_examples=24, derandomize=True, deadline=None)
+    @given(
+        bc=st.sampled_from(["dirichlet", "neumann"]),
+        half_width=st.floats(2.0, 6.0),
+        gamma=st.floats(0.8, 1.3),
+        ks=st.sampled_from([(5, 1), (6, 2), (9, 3)]),
+    )
+    def test_augmented_energy_at_roundoff(self, bc, half_width, gamma, ks):
+        # the soliton forces the boundaries of [-L, L] at O(1): HBVM(k,s)
+        # with k > s keeps Ht at roundoff, while HBVM(1,1) (the midpoint
+        # rule) visibly drifts, so the forcing is not trivial
         from hbvm.integrator import HBVMMethod, SolverConfig, integrate
 
-        system, y0, _ = build_sg_augmented("neumann", 50, (-2.0, 2.0))
-        drifts = []
-        for h in (0.1, 0.05):
-            rec = integrate(system, y0, h, round(5.0 / h), HBVMMethod(5, 1), SolverConfig(), record_stride=0)
-            drifts.append(np.max(np.abs(rec.drift)))
-        assert np.log2(drifts[0] / drifts[1]) == pytest.approx(2.0, abs=0.3)
-        d_system, d_y0, _ = build_sg_augmented("dirichlet", 50, (-2.0, 2.0))
-        rec = integrate(d_system, d_y0, 0.1, 50, HBVMMethod(5, 1), SolverConfig(), record_stride=0)
-        assert np.max(np.abs(rec.drift)) <= 1e-12
+        system, y0 = problems.sine_gordon_system(gamma, bc, "fd2", N=60, domain=(-half_width, half_width))
+
+        def drift(k, s):
+            rec = integrate(system, y0, 0.1, 30, HBVMMethod(k, s), SolverConfig(), record_stride=0)
+            return np.max(np.abs(rec.drift))
+
+        assert drift(*ks) <= 1e-12
+        assert drift(1, 1) >= 1e-3
 
 
 class TestAugmentedEnergyRecord:
