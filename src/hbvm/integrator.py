@@ -28,7 +28,7 @@ oracle for validation.
 A Stepper builds what does not depend on the state once per run; step()
 reuses the last Stepper it built while its arguments stay the same.  In
 blended mode, which solves the stiff part exactly, a Stepper warm-starts
-each solve of a chain of steps from its last three (see Stepper).
+each solve of a chain of steps from the last four (see Stepper).
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def _newton(target, lu) -> Callable[[np.ndarray], np.ndarray]:
     return newton
 
 
-def _iterate(target, start, y0, h, cfg: SolverConfig, mode: str):
+def _iterate(target, start, y0, h, cfg: SolverConfig, mode: str, n: int):
     """The stage-coefficient loop that every solver mode runs: coeffs <- target(coeffs) from start.
 
     target is the fixed-point map, the blended step or the Newton map; start
@@ -218,6 +218,8 @@ def _iterate(target, start, y0, h, cfg: SolverConfig, mode: str):
     diverging if the update exceeds the first or ten times the smallest,
     else as stalled above tol (a rounding plateau).  Updates that oscillate
     on their way down set a new smallest one every few iterations and pass.
+    A non-finite update stops it at once, naming the row, field (q, p, qt, pt
+    with n nodes each; u, v of NLS in q, p) and node of its first NaN or inf.
     """
     scale = h * max(1.0, h) / (1.0 + float(np.max(np.abs(y0))))
     coeffs = start
@@ -231,7 +233,11 @@ def _iterate(target, start, y0, h, cfg: SolverConfig, mode: str):
         if residual <= cfg.tol:
             return coeffs, diag
         if not math.isfinite(residual):
-            raise SolverError(f"{mode} stage solve hit a non-finite residual at iteration {iteration}", diag)
+            row, column = divmod(int(np.argmax(~np.isfinite(update * scale))), update.shape[1])
+            column += n if update.shape[1] == n else 0  # the separable solve's columns are p's derivatives
+            field, node = divmod(column, n) if column < 2 * n else (column - 2 * n + 2, 0)
+            where = f"first in coefficient row {row}, field {('q', 'p', 'qt', 'pt')[field]}, node {node}"
+            raise SolverError(f"{mode} stage solve hit a non-finite residual at iteration {iteration}, {where}", diag)
         if iteration == 1:
             first = residual
         if residual < smallest:
@@ -316,7 +322,7 @@ def _separable_solver(system, h, tab, cfg, mode):
                 y1[2 * nq + 1] = y0[2 * nq + 1] + h * float(tab.weights @ sep.aug_rate(stage_q, times))
             return y1
 
-        coeffs, diag = _iterate(target, start, y0, h, cfg, mode)
+        coeffs, diag = _iterate(target, start, y0, h, cfg, mode, nq)
         return coeffs, diag, finish
 
     return solve
@@ -357,7 +363,7 @@ def _generic_solver(system, h, tab, cfg, mode):
         elif mode == "simplified-newton-dense":
             jac = _fd_jacobian(system.rhs, y0)
             target = _newton(target, _lu(np.eye(tab.s * dim) - h * np.kron(tab.integration_matrix, jac)))
-        coeffs, diag = _iterate(target, start, y0, h, cfg, mode)
+        coeffs, diag = _iterate(target, start, y0, h, cfg, mode, system.skew.n)
         return coeffs, diag, lambda coeffs: y0 + h * coeffs[0]
 
     return solve
@@ -382,14 +388,14 @@ def _checked_state(system: SemiDiscreteSystem, y0) -> np.ndarray:
     return y0
 
 
-def _warm_start(chain: list, shape) -> np.ndarray:
-    """The stage solve's start from the last steps' coefficients, oldest first:
-    quadratic extrapolation from three, linear from two, the one itself, zero from none."""
-    if len(chain) == 3:
-        return 3.0 * (chain[2] - chain[1]) + chain[0]
-    if len(chain) == 2:
-        return 2.0 * chain[1] - chain[0]
-    return chain[0] if chain else np.zeros(shape)
+_WARM_WEIGHTS = [np.array([(-1.0) ** (m - i + 1) * math.comb(m, i) for i in range(m)]) for m in range(5)]
+
+
+def _warm_start(blocks: np.ndarray) -> np.ndarray:
+    """The stage solve's start from the last m <= 4 steps' coefficients, flattened and stacked oldest first:
+    the polynomial through them at the next step, sum_j (-1)^(j+1) C(m, j) c_n+1-j in one product.  That is
+    zero for m = 0, then c_n, 2 c_n - c_n-1, the quadratic and the cubic 4 c_n - 6 c_n-1 + 4 c_n-2 - c_n-3."""
+    return _WARM_WEIGHTS[len(blocks)] @ blocks
 
 
 class Stepper:
@@ -402,16 +408,16 @@ class Stepper:
     constant L.  A call does only the work that depends on y0.
 
     In blended mode a call from the state the Stepper last returned
-    warm-starts the stage solve from the quadratic extrapolation of the last
-    three steps' coefficients, 3 (c_n - c_n-1) + c_n-2 (c_1 on the second
-    step of such a chain, 2 c_2 - c_1 on the third); any other y0 starts
-    from zero.  The start changes the iteration count, not what the step
-    accepts: about one iteration fewer on the wave systems, half of them on
-    NLS.  The fixed point and dense Newton always start from zero: the
-    plain fixed point leaves stiff modes uncontracted, a warm start carries
-    them from step to step, and they grow.  A one-step or linear start
-    lets the iteration counts flip under a 1% change of the data.  The
-    chain is state, so threads should not share a blended Stepper.
+    warm-starts the stage solve from the cubic extrapolation of the last
+    four steps' coefficients (see _warm_start; a shorter chain uses the
+    polynomial through all it has); any other y0 starts from zero.  The
+    start changes the iteration count, not what the step accepts: one or
+    two iterations fewer on the wave systems, two thirds of them on NLS.
+    The fixed point and dense Newton always start from zero: the plain fixed
+    point leaves stiff modes uncontracted, a warm start carries them from
+    step to step, and they grow.  A start of degree 0, 1 or 4 lets the
+    iteration counts flip under a 1% change of the data.  The chain is
+    state, so threads should not share a blended Stepper.
     """
 
     def __init__(self, system: SemiDiscreteSystem, h: float, method: HBVMMethod, cfg: SolverConfig = SolverConfig()):
@@ -424,22 +430,20 @@ class Stepper:
         build = _separable_solver if sep is not None else _generic_solver
         self._solve = build(system, h, method.tables, cfg, mode)
         self._shape = (method.s, sep.nq if sep is not None else system.dim)
-        # blended only: the coefficients of up to three steps, oldest first, of the chain ending at _last
-        self._chain = [] if mode == "blended" else None
-        self._last = None
+        # the chain ending at _last: its last _length <= _keep steps' coefficients, flattened and oldest
+        # first, end the buffer; only blended mode keeps any
+        self._chain, self._keep = np.zeros((4, math.prod(self._shape))), 4 if mode == "blended" else 0
+        self._length, self._last = 0, None
 
     def __call__(self, y0):
         """One step from y0 -> (y1, StepDiagnostics)."""
         y0 = _checked_state(self.system, y0)
-        if self._chain is None:
-            coeffs, diag, finish = self._solve(y0, np.zeros(self._shape))
-            return finish(coeffs), diag
-        if not (self._chain and np.array_equal(y0, self._last)):
-            self._chain = []
-        coeffs, diag, finish = self._solve(y0, _warm_start(self._chain, self._shape))
+        if not (self._length and np.array_equal(y0, self._last)):
+            self._length = 0
+        coeffs, diag, finish = self._solve(y0, _warm_start(self._chain[4 - self._length :]).reshape(self._shape))
         y1 = finish(coeffs)
-        self._chain = self._chain[-2:] + [coeffs]
-        self._last = y1.copy()  # the caller may change y1 in place
+        self._chain[:-1], self._chain[-1] = self._chain[1:], coeffs.ravel()
+        self._length, self._last = min(self._length + 1, self._keep), y1.copy()  # the caller may change y1 in place
         return y1, diag
 
     def coefficients(self, y0) -> np.ndarray:

@@ -17,6 +17,7 @@ from hbvm.integrator import (
     Stepper,
     rk_tableau,
     step,
+    _warm_start,
 )
 from hbvm.legendre import gauss_rule
 
@@ -270,6 +271,21 @@ _FAIL_FAST_SYSTEMS = {
 }
 
 
+def _nan_field_system(name, column=None):
+    """A _FAIL_FAST_SYSTEMS system whose force (accel, or gradient and nonlinear) is NaN in every
+    column, or else zero with a NaN in one column."""
+    system, y0 = _FAIL_FAST_SYSTEMS[name]()
+
+    def nan_field(rows, *times):
+        out = np.zeros_like(rows)
+        out[..., slice(None) if column is None else column] = np.nan
+        return out
+
+    if system.separable is not None:
+        return replace(system, separable=replace(system.separable, accel=nan_field)), y0
+    return replace(system, gradient=nan_field, semilinear=replace(system.semilinear, nonlinear=nan_field)), y0
+
+
 class TestFailFast:
     @pytest.mark.parametrize("name", sorted(_FAIL_FAST_SYSTEMS))
     @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -0.1, None])
@@ -340,16 +356,24 @@ class TestFailFast:
         ],
     )
     def test_non_finite_rhs_stops_the_solve(self, name, mode):
-        system, y0 = _FAIL_FAST_SYSTEMS[name]()
-        if system.separable is not None:
-            nan_accel = lambda q, t: np.full_like(q, np.nan)
-            system = replace(system, separable=replace(system.separable, accel=nan_accel))
-        else:
-            nan_field = lambda y: np.full_like(y, np.nan)
-            system = replace(system, gradient=nan_field, semilinear=replace(system.semilinear, nonlinear=nan_field))
-        with pytest.raises(SolverError, match=f"{mode} .*non-finite residual at iteration 1") as err:
+        # the separable solve's coefficients are the momentum derivative (p);
+        # the full-state solve of NLS names u as q
+        system, y0 = _nan_field_system(name)
+        field = "p" if system.separable is not None else "q"
+        match = f"{mode} .*non-finite residual at iteration 1, first in coefficient row 0, field {field}, node 0$"
+        with pytest.raises(SolverError, match=match) as err:
             step(system, y0, 0.01, HBVMMethod(3, 1), SolverConfig(mode=mode))
         assert err.value.diagnostics.iterations <= 2
+
+    @pytest.mark.parametrize(
+        "name,column,field,node", [("fd6", 7, "p", 7), ("nls", 7, "p", 7), ("nls", 16 + 3, "q", 3)]
+    )
+    def test_non_finite_entry_is_named_by_field_and_node(self, name, column, field, node):
+        # the fixed point sends each force column to one slot, so one bad
+        # column names its own: on NLS, -dH/du drives v (p) and dH/dv drives u (q)
+        system, y0 = _nan_field_system(name, column)
+        with pytest.raises(SolverError, match=f"row 0, field {field}, node {node}$"):
+            step(system, y0, 0.01, HBVMMethod(3, 1), SolverConfig(mode="fixed-point"))
 
     @pytest.mark.parametrize(
         "name,call",
@@ -423,25 +447,30 @@ def _cold_chain(system, y0, h, n_steps, method):
 
 
 _WARM_CASES = {
-    # (system and y0, h, method, it/step bound); cold: 6.05, 5.25 and 6.00 it/step
+    # (system and y0, h, method, it/step bound); cold: 6.05, 5.25, 5.00 and 6.00 it/step;
+    # the quadratic start of three steps took 5.08, 4.17, 4.07 and 3.04, the cubic takes
+    # 5.07, 4.13, 3.35 and 2.07
     "periodic-fd6-5-1": (
         lambda: problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd6", N=400), 0.1, HBVMMethod(5, 1), 5.1
     ),
     "dirichlet-fd2-6-2": (
         lambda: problems.sine_gordon_system(gamma=1.0, bc="dirichlet", scheme="fd2", N=400), 0.1, HBVMMethod(6, 2), 5.1
     ),
-    "nls-fd2-5-1": (lambda: problems.nls_system(N=64), 0.002, HBVMMethod(5, 1), 3.1),
+    "fourier-5-1": (
+        lambda: problems.sine_gordon_system(gamma=1.0, scheme="fourier", N=400, m=800), 0.05, HBVMMethod(5, 1), 3.4
+    ),
+    "nls-fd2-5-1": (lambda: problems.nls_system(N=64), 0.002, HBVMMethod(5, 1), 2.1),
 }
 
 
 class TestWarmStart:
     @pytest.mark.parametrize("name", sorted(_WARM_CASES))
     def test_blended_chain_saves_iterations_and_keeps_the_solution(self, name):
-        # blended steps from the last output start from the quadratic
-        # extrapolation of the last three coefficient blocks: one iteration
-        # fewer on the wave systems, half of them on NLS, the same states to
-        # the accepted tolerance; Dirichlet solves on the banded factor, NLS
-        # on the complex blocks of I + h X (x) L
+        # blended steps from the last output start from the cubic
+        # extrapolation of the last four coefficient blocks: one or two
+        # iterations fewer on the wave systems, two thirds of them on NLS, the
+        # same states to the accepted tolerance; Dirichlet solves on the
+        # banded factor, NLS on the complex blocks of I + h X (x) L
         build, h, method, bound = _WARM_CASES[name]
         system, y0 = build()
         rec = integrate(system, y0, h, 150, method, record_stride=0)
@@ -449,6 +478,23 @@ class TestWarmStart:
         assert rec.iterations.mean() <= bound
         cold = _cold_chain(system, y0, h, 150, method)
         assert np.max(np.abs(rec.final_state - cold)) <= 1e-12 * np.max(np.abs(cold))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        m=st.integers(0, 4),
+        s=st.integers(1, 3),
+        width=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        origin=st.integers(-50, 50),
+    )
+    def test_start_extrapolates_the_polynomial_through_the_last_blocks(self, m, s, width, seed, origin):
+        # blocks c_n = sum_d a_d n^d of degree m - 1 in the step index n: the
+        # start from the last m of them is the next block (zero from none)
+        a = np.random.default_rng(seed).standard_normal((m, s, width))
+        n = origin + np.arange(m + 1, dtype=float)
+        blocks = np.einsum("nd,dsw->nsw", n[:, None] ** np.arange(m), a)  # c at origin .. origin + m
+        start = _warm_start(blocks[:m].reshape(m, s * width)).reshape(s, width)
+        assert np.max(np.abs(start - blocks[m])) <= 1e-12 * max(1.0, np.max(np.abs(blocks)))
 
     def test_other_state_starts_cold(self):
         # only the state the Stepper last returned continues its chain; any

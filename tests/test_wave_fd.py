@@ -412,6 +412,43 @@ class TestStrongForcingConservation:
         assert drift(1, 1) >= 1e-3
 
 
+class TestPolynomialEnergyConservation:
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(
+        ks=st.sampled_from([(2, 1), (3, 1), (4, 2)]),
+        h=st.floats(0.08, 0.12),
+        amplitude=st.floats(0.5, 0.8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_up_to_degree_2k_over_s(self, ks, h, amplitude, seed):
+        # along the degree-s stage polynomial, grad H . sigma' has degree
+        # s deg(f) - 1, which the k-node Gauss rule integrates exactly up to
+        # deg(f) = 2k/s: HBVM(k,s) keeps H at roundoff there, on the warm-started
+        # blended path, while two degrees more make it drift visibly
+        from numpy.polynomial import polynomial
+        from hbvm.integrator import HBVMMethod, integrate
+
+        k, s = ks
+        degree = 2 * k // s
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(-0.5, 0.5, degree + 3)
+        coeffs[0], coeffs[2], coeffs[degree] = 0.0, rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.0)
+        above = coeffs.copy()
+        above[degree + 1], above[degree + 2] = 0.0, rng.uniform(0.5, 1.0)
+        y0 = amplitude * rng.uniform(-1.0, 1.0, 64)  # every mode of the N=32 mesh
+
+        def drift(c):
+            f = lambda u: polynomial.polyval(u, c)
+            fprime = lambda u: polynomial.polyval(u, polynomial.polyder(c))
+            system = build_periodic(32, 2, (0.0, 2.0 * np.pi), f, fprime)
+            rec = integrate(system, y0, h, 60, HBVMMethod(k, s), record_stride=0)
+            assert rec.mode == "blended"
+            return np.max(np.abs(rec.drift)) / (1.0 + abs(rec.hamiltonian[0]))
+
+        assert drift(coeffs[: degree + 1]) <= 1e-12
+        assert drift(above) >= 100 * 1e-12
+
+
 class TestAugmentedEnergyRecord:
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     def test_one_energy_evaluation_per_step(self, bc, monkeypatch):
