@@ -594,6 +594,9 @@ class TestQuadraticInvariants:
         assert mass > 1e-11
 
 
+_TABLEAU_SYSTEMS = {**_REVERSIBLE_SYSTEMS, "nls": lambda: problems.nls_system(N=16)[0]}
+
+
 class TestRKEquivalence:
     def test_midpoint_tableau(self):
         a_mat, b, c = rk_tableau(HBVMMethod(1, 1))
@@ -623,6 +626,25 @@ class TestRKEquivalence:
         direct = rk_step_direct(system.rhs, y0, h, a_mat, b, c, tol=1e-16)
         ours, _ = step(system, y0, h, HBVMMethod(k, s), SolverConfig(mode="fixed-point", tol=1e-15))
         np.testing.assert_allclose(ours, direct, atol=1e-12)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_TABLEAU_SYSTEMS)),
+        s=st.integers(1, 4),
+        extra_nodes=st.integers(0, 4),
+        h=st.floats(0.005, 0.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_matches_direct_tableau_solve_over_drawn_inputs(self, name, s, extra_nodes, h, seed):
+        # the default (auto) solver against the plain stage iteration on the
+        # tableau; NLS takes h/20, where that iteration still contracts
+        system = _TABLEAU_SYSTEMS[name]()
+        h = h / 20.0 if name == "nls" else h
+        method = HBVMMethod(s + extra_nodes, s)
+        y = np.random.default_rng(seed).standard_normal(system.dim)
+        ours, _ = step(system, y, h, method)
+        direct = rk_step_direct(system.rhs, y, h, *rk_tableau(method), tol=1e-16)
+        assert np.max(np.abs(ours - direct)) <= 1e-12 * (1.0 + np.max(np.abs(y)))
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_hbvm_ss_is_gauss_collocation(self, s):

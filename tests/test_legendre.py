@@ -1,8 +1,9 @@
 import numpy as np
-import numpy.polynomial.legendre as npleg
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from hbvm.legendre import (
+    MAX_NODES,
     gauss_rule,
     hbvm_tables,
     shifted_legendre_antiderivative,
@@ -11,9 +12,12 @@ from hbvm.legendre import (
 
 
 def fine_rule(n=64):
-    # independent quadrature oracle on [0,1] from numpy's Golub-Welsch nodes
-    t, w = npleg.leggauss(n)
-    return 0.5 * (t + 1.0), 0.5 * w
+    # quadrature oracle on [0,1], independent of gauss_rule (which takes its
+    # nodes from numpy's leggauss): Golub-Welsch, the eigenpairs of the Jacobi
+    # matrix of the Legendre recurrence, nodes (t+1)/2 and weights v_0^2
+    j = np.arange(1, n)
+    t, v = eigh_tridiagonal(np.zeros(n), j / np.sqrt(4.0 * j * j - 1.0))
+    return 0.5 * (t + 1.0), v[0] ** 2
 
 
 class TestShiftedLegendre:
@@ -91,7 +95,7 @@ class TestGaussRule:
         np.testing.assert_allclose(r.weights, r.weights[::-1], rtol=0, atol=1e-16)
         assert np.sum(r.weights) == pytest.approx(1.0, abs=1e-15)
 
-    @pytest.mark.parametrize("k", [3, 7, 15])
+    @pytest.mark.parametrize("k", [1, 3, 7, 15, MAX_NODES])
     def test_matches_golub_welsch(self, k):
         r = gauss_rule(k)
         nodes, weights = fine_rule(k)
@@ -117,6 +121,16 @@ class TestHBVMTables:
         assert np.max(np.abs(gram - np.eye(s))) <= 1e-13
         prod = tab.node_values.T @ (tab.node_integrals * tab.weights[:, None])
         assert np.max(np.abs(prod - tab.integration_matrix)) <= 1e-13
+
+    @pytest.mark.parametrize("k,s", [(20, 1), (12, 6), (20, 6)])
+    def test_largest_tables_keep_the_identities_at_roundoff(self, k, s):
+        # the Christoffel weights hold both identities to 1e-15 at the largest
+        # tables; Gauss weights taken from leggauss miss the Gram one by 1e-14
+        tab = hbvm_tables(k, s)
+        gram = tab.node_values.T @ (tab.node_values * tab.weights[:, None])
+        assert np.max(np.abs(gram - np.eye(s))) <= 4e-15
+        prod = tab.node_values.T @ (tab.node_integrals * tab.weights[:, None])
+        assert np.max(np.abs(prod - tab.integration_matrix)) <= 4e-15
 
     def test_integration_matrix_structure(self):
         tab = hbvm_tables(6, 4)
