@@ -16,8 +16,10 @@ from functools import partial
 import numpy as np
 
 from .legendre import check_count
-from .systems import SemiDiscreteSystem, SemilinearForm, SeparableForm, SkewStructure, separable_system, shifted_solver
-from .wave_fd import BoundaryData, StencilOperator, build_dirichlet, build_neumann, build_periodic, _energy_sum
+from .systems import (
+    SemiDiscreteSystem, SemilinearForm, SeparableForm, SkewStructure, energy_sum, separable_system, shifted_solver,
+)
+from .wave_fd import BoundaryData, StencilOperator, build_dirichlet, build_neumann, build_periodic
 from .wave_fourier import build_fourier
 
 __all__ = [
@@ -229,7 +231,7 @@ def build_nls_periodic(N: int, domain, kappa: float) -> SemiDiscreteSystem:
         dens = u * u + v * v
         quad = uv * op.apply(uv)
         terms = (quad[0] + quad[1]) / (2.0 * dx) - 0.5 * kappa * dx * dens * dens
-        return _energy_sum(terms)
+        return energy_sum(terms)
 
     def quadratic_gradient(uv):
         """Gradient of the stencil energy [u.Tu + v.Tv]/(2 dx)."""

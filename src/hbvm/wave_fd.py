@@ -9,14 +9,13 @@ with the conjugate time pair appended to the state, so a single integrator
 code path handles all three cases.
 
 Stencils are stored as per-offset second-difference weights w_r, with
-(T q)_i = sum_r w_r (2 q_i - q_{i-r} - q_{i+r}); conserved energies are
-accumulated with exact summation so the drift diagnostics sit at the
+(T q)_i = sum_r w_r (2 q_i - q_{i-r} - q_{i+r}); energies are summed in
+extended precision (systems.energy_sum), so the drift diagnostics sit at the
 roundoff floor of the dynamics rather than of the bookkeeping.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -26,7 +25,7 @@ import scipy.linalg.lapack
 
 from . import kernels
 from .legendre import check_count
-from .systems import SemiDiscreteSystem, SeparableForm, separable_system, shifted_solver
+from .systems import SemiDiscreteSystem, SeparableForm, energy_sum, separable_system, shifted_solver
 
 __all__ = [
     "StencilOperator",
@@ -47,16 +46,6 @@ _CORNERS = {"periodic": None, "dirichlet": 1.0, "neumann": 0.0}
 # Boundary forcing per kind as functions of dx: the weights b of beta = (b_0 g_0, b_1 g_1) and the
 # weight w of c = w (g_0^2 + g_1^2), g being the boundary values (Dirichlet) or slopes (Neumann).
 _FORCING = {"dirichlet": lambda dx: ((-1.0 / dx, -1.0 / dx), 0.5 / dx), "neumann": lambda dx: ((1.0, -1.0), 0.5 * dx)}
-
-
-def _energy_sum(terms: np.ndarray) -> float:
-    """Exactly rounded sum of per-node energy contributions.
-
-    The terms go to math.fsum as a list of Python floats: the sum is the same
-    exactly rounded value, and fsum reads a list about twice as fast as it
-    iterates numpy scalars.
-    """
-    return math.fsum(terms.tolist())
 
 
 @dataclass(frozen=True)
@@ -207,7 +196,7 @@ def build_periodic(N: int, order: int, domain, f, fprime, name: str = "wave") ->
     def hamiltonian(y):
         q, p = y[:N], y[N:]
         terms = 0.5 * p * p + q * op.apply(q) / (2.0 * dx**2) + f(q)
-        return dx * _energy_sum(terms)
+        return dx * energy_sum(terms)
 
     def accel(stages, times):
         return -fprime(stages)
@@ -244,7 +233,7 @@ def _augmented_system(N, domain, f, fprime, boundary, kind, name) -> SemiDiscret
         g0, g1 = values(t)
         terms = 0.5 * p * p + q * op.apply(q) / (2.0 * dx**2) + f(q)
         forcing = b0 * g0 * q[0] + b1 * g1 * q[-1] + w * (g0 * g0 + g1 * g1)  # beta(t).(q_1, q_N) + c(t)
-        return dx * _energy_sum(terms) + forcing + y[2 * N + 1]
+        return dx * energy_sum(terms) + forcing + y[2 * N + 1]
 
     def accel(stages, times):
         g0, g1 = values(times)

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .systems import SemiDiscreteSystem, SeparableForm, separable_system, shifted_solver
+from .systems import SemiDiscreteSystem, SeparableForm, energy_sum, separable_system, shifted_solver
 
 __all__ = [
     "FourierBasis",
@@ -190,9 +190,9 @@ def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wa
     def hamiltonian(y):
         q, p = y[:dim], y[dim:]
         u = _synthesis(spec, q)
-        kinetic = math.fsum((0.5 * p * p).tolist())
-        elastic = math.fsum((0.5 * diag * q * q).tolist())
-        return kinetic + elastic + (length / m) * math.fsum(f(u).tolist())
+        kinetic = energy_sum(0.5 * p * p)
+        elastic = energy_sum(0.5 * diag * q * q)
+        return kinetic + elastic + (length / m) * energy_sum(f(u))
 
     def accel(grid, times):
         return -fprime(grid)

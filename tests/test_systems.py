@@ -1,9 +1,14 @@
+import math
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import reference_solve
 from hbvm import problems
-from hbvm.systems import SkewStructure, hamiltonian_drift
+from hbvm.systems import SkewStructure, energy_sum, hamiltonian_drift
+from hbvm.wave_fd import StencilOperator
 
 
 def build_all_systems():
@@ -210,6 +215,71 @@ class TestHamiltonianDrift:
         sol = reference_solve(system, y0, (0.0, 2.0), t_eval=np.linspace(0.0, 2.0, 9))
         drift = hamiltonian_drift(system, sol.y.T)
         assert np.max(np.abs(drift)) <= 1e-9
+
+
+def _fsum_energy(system, y):
+    """The energy of a sine-Gordon or NLS system summed by math.fsum: a reference, exactly rounded per sum."""
+    desc = system.descriptor
+    if desc["name"] == "nls":
+        u, v = y.reshape(2, -1)
+        dx = desc["dx"]
+        op = StencilOperator(u.size, "periodic", 2, dx)
+        dens = u * u + v * v
+        terms = (u * op.apply(u) + v * op.apply(v)) / (2.0 * dx) - 0.5 * desc["kappa"] * dx * dens * dens
+        return math.fsum(terms.tolist())
+    n = system.separable.nq
+    q, p = y[:n], y[n:]
+    if desc.get("scheme") == "fourier":
+        spec = desc["spectral"]
+        u = system.separable.to_grid(q)
+        kinetic = math.fsum((0.5 * p * p).tolist())
+        elastic = math.fsum((0.5 * spec.basis.stiffness_diagonal() * q * q).tolist())
+        return kinetic + elastic + (spec.basis.length / spec.m) * math.fsum(problems.sine_gordon_f(u).tolist())
+    dx = desc["dx"]
+    terms = 0.5 * p * p + q * desc["stencil"].apply(q) / (2.0 * dx**2) + problems.sine_gordon_f(q)
+    return dx * math.fsum(terms.tolist())
+
+
+class TestEnergySum:
+    @given(
+        n=st.integers(0, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        cancel=st.booleans(),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_within_an_ulp_of_the_exactly_rounded_sum(self, n, seed, cancel):
+        rng = np.random.default_rng(seed)
+        terms = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, 3.0, n)
+        if cancel:  # heavy cancellation: the terms and most of their negatives, shuffled
+            terms = rng.permutation(np.concatenate([terms, -terms[: n - n // 8]]))
+        exact = math.fsum(terms.tolist())
+        bound = np.spacing(abs(exact)) + 2.0**-60 * math.fsum(np.abs(terms).tolist())
+        assert abs(energy_sum(terms) - exact) <= bound
+
+    def test_empty_sum_is_zero(self):
+        assert energy_sum(np.zeros(0)) == 0.0
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is a plain double here")
+    def test_wide_long_double_is_used_where_available(self):
+        # 2^-70 survives exact summation but not a 64-bit mantissa: the result tells the paths apart
+        assert math.fsum([1.0, 2.0**-70, -1.0]) == 2.0**-70
+        assert energy_sum(np.array([1.0, 2.0**-70, -1.0])) == 0.0
+
+    @pytest.mark.parametrize("name", ["periodic-fd2", "fourier", "nls"])
+    def test_recorded_energy_matches_exact_summation(self, name):
+        from hbvm.integrator import HBVMMethod, integrate
+
+        build, h = {
+            "periodic-fd2": (partial(problems.sine_gordon_system, scheme="fd2", N=64), 0.1),
+            "fourier": (partial(problems.sine_gordon_system, scheme="fourier", N=16, m=40), 0.1),
+            "nls": (partial(problems.nls_system, N=16), 0.01),
+        }[name]
+        system, y0 = build()
+        rec = integrate(system, y0, h, 20, HBVMMethod(5, 1), record_stride=1)
+        reference = np.array([_fsum_energy(system, y) for y in rec.states])
+        assert len(reference) == 21
+        assert np.all(np.abs(rec.hamiltonian - reference) <= np.spacing(np.abs(reference)))
+        assert np.max(np.abs(rec.drift)) > 0.0  # the trajectory moves the summed terms
 
 
 class TestReentrancy:

@@ -450,16 +450,25 @@ class TestPolynomialEnergyConservation:
 
 
 class TestAugmentedEnergyRecord:
-    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-    def test_one_energy_evaluation_per_step(self, bc, monkeypatch):
-        from hbvm import wave_fd
+    @pytest.mark.parametrize("name", ["dirichlet", "neumann", "periodic-fd6", "fourier", "nls"])
+    def test_one_energy_evaluation_per_step(self, name):
+        import dataclasses
+        from functools import partial
+
         from hbvm.integrator import HBVMMethod, integrate
 
-        system, y0 = problems.sine_gordon_system(gamma=1.0, bc=bc, scheme="fd2", N=48)
-        energy_sum, calls = wave_fd._energy_sum, []
-        monkeypatch.setattr(wave_fd, "_energy_sum", lambda terms: calls.append(1) or energy_sum(terms))
+        build, h = {
+            "dirichlet": (partial(problems.sine_gordon_system, bc="dirichlet", N=48), 0.1),
+            "neumann": (partial(problems.sine_gordon_system, bc="neumann", N=48), 0.1),
+            "periodic-fd6": (partial(problems.sine_gordon_system, scheme="fd6", N=48), 0.1),
+            "fourier": (partial(problems.sine_gordon_system, scheme="fourier", N=12, m=32), 0.1),
+            "nls": (partial(problems.nls_system, N=16), 0.01),
+        }[name]
+        system, y0 = build()
+        calls = []
+        counting = dataclasses.replace(system, hamiltonian=lambda y: calls.append(1) or system.hamiltonian(y))
         n_steps = 7
-        integrate(system, y0, 0.1, n_steps, HBVMMethod(5, 1))
+        integrate(counting, y0, h, n_steps, HBVMMethod(5, 1))
         assert len(calls) == n_steps + 1
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
