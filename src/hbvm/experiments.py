@@ -20,7 +20,7 @@ import numpy as np
 
 from . import problems
 from .comparators import composition_scheme, integrate_explicit
-from .integrator import MODES, HBVMMethod, SolverConfig, StepFailure, TrajectoryRecord, integrate
+from .integrator import HBVMMethod, SolverConfig, StepFailure, TrajectoryRecord, integrate
 from .legendre import check_count
 from .wave_fourier import _synthesis
 
@@ -92,12 +92,11 @@ class RunConfig:
             for name, minimum in (("N", 1), ("m", 1), ("steps", 0), ("stride", 0), ("max_iter", 1)):
                 check_count(name, getattr(self, name), minimum)
             self.method()
+            self.solver_config()
         except ValueError as err:
             raise ConfigError(str(err)) from err
         if self.scheme == "fourier" and self.m < 2 * self.N:
             raise ConfigError(f"m={self.m} under-resolves N={self.N}: the Fourier scheme needs m >= 2N")
-        if self.solver not in ("auto",) + MODES:
-            raise ConfigError(f"unknown solver {self.solver!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a path prefix string, got {self.out!r}")
         return self

@@ -17,13 +17,13 @@ Non-separable systems use the full-state analogue of the same fixed point;
 a semilinear one, ydot = g(y) - L y (NLS), splits it the same way, with
 only the pointwise g on the k stage rows (see _generic_solver).
 
-Three solvers share these equations and one iteration loop: plain
-fixed-point iteration, the blended step (the simplified-Newton step on the
-stiff linear part, g <- (I + h^2 X^2 (x) L)^-1 (F(g) - L B Q0), and
+Two solvers share these equations and one iteration loop: plain
+fixed-point iteration and the blended step (the simplified-Newton step on
+the stiff linear part, g <- (I + h^2 X^2 (x) L)^-1 (F(g) - L B Q0), and
 c <- (I + h X (x) L)^-1 (B g(Y) - e_0 (x) L y0) on semilinear systems: one
 exact solve on the s coefficient rows per iteration, with no L in the loop,
-from the system's make_preconditioner), and a dense simplified-Newton
-oracle for validation.
+from the system's make_preconditioner).  The tests check both against an
+independent full-state Newton solve (tests/conftest.py).
 
 A Stepper builds what does not depend on the state once per run; step()
 reuses the last Stepper it built while its arguments stay the same.  In
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .legendre import HBVMTables, check_count, hbvm_tables
 from .systems import SemiDiscreteSystem
@@ -59,7 +58,7 @@ __all__ = [
     "rk_tableau",
 ]
 
-MODES = ("fixed-point", "blended", "simplified-newton-dense")
+MODES = ("fixed-point", "blended")
 
 
 class SolverError(RuntimeError):
@@ -182,37 +181,15 @@ class TrajectoryRecord:
         return self.states[-1]
 
 
-def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of a row-wise map: all 2n probes in two calls."""
-    eps = 1e-7 * (1.0 + np.abs(y))
-    probes = np.diag(eps)
-    return ((fn(y + probes) - fn(y - probes)) / (2.0 * eps[:, None])).T
-
-
-def _lu(matrix: np.ndarray):
-    return scipy.linalg.lu_factor(matrix, check_finite=False)
-
-
-def _newton(target, lu) -> Callable[[np.ndarray], np.ndarray]:
-    """Dense simplified-Newton map c + M^-1 (target(c) - c), lu = _lu(M); non-finite values are left to the loop's check."""
-
-    def newton(coeffs):
-        update = target(coeffs) - coeffs
-        return coeffs + scipy.linalg.lu_solve(lu, update.ravel(), check_finite=False).reshape(update.shape)
-
-    return newton
-
-
 def _iterate(target, start, y0, h, cfg: SolverConfig, mode: str, n: int):
     """The stage-coefficient loop that every solver mode runs: coeffs <- target(coeffs) from start.
 
-    target is the fixed-point map, the blended step or the Newton map; start
-    is zero, or in blended mode the Stepper's warm start (see Stepper for
-    when, and why only there).  The
-    residual is the change the update makes to the step's output y1,
-    h max(1, h) max|update| relative to 1 + |y0|_inf (y1 takes h c_0 on the
-    momenta or the whole state, h^2 c on the positions), and the solve stops
-    when it is at most tol.  The solve stops, before the iterates overflow,
+    target is the fixed-point map or the blended step; start is zero, or in
+    blended mode the Stepper's warm start (see Stepper for when, and why
+    only there).  The residual is the change the update makes to the step's
+    output y1, h max(1, h) max|update| relative to 1 + |y0|_inf (y1 takes
+    h c_0 on the momenta or the whole state, h^2 c on the positions), and the
+    solve stops when it is at most tol.  The solve stops, before the iterates overflow,
     once ten iterations pass without a new smallest update or an update
     exceeds the first one, which is the size of the whole solution: as
     diverging if the update exceeds the first or ten times the smallest,
@@ -281,10 +258,6 @@ def _separable_solver(system, h, tab, cfg, mode):
     if mode == "blended":
         precondition = sep.make_preconditioner(h * h * xs2)
 
-    lu = None
-    if mode == "simplified-newton-dense" and sep.linear_operator is not None:
-        lu = _lu(np.eye(tab.s * nq) + h * h * np.kron(xs2, sep.linear_operator(np.eye(nq)).T))
-
     def solve(y0, start):
         q0 = y0[:nq]
         p0 = y0[nq : 2 * nq]
@@ -305,12 +278,6 @@ def _separable_solver(system, h, tab, cfg, mode):
 
             def target(coeffs):
                 return precondition(forces(coeffs))
-
-        elif mode == "simplified-newton-dense" and lu is None:
-            jac = -_fd_jacobian(lambda rows: sep.pdot(rows, np.full(len(rows), times[0])), q0)
-            target = _newton(target, _lu(np.eye(tab.s * nq) + h * h * np.kron(xs2, jac)))
-        elif mode == "simplified-newton-dense":
-            target = _newton(target, lu)
 
         def finish(coeffs):
             y1 = np.empty_like(y0)
@@ -342,7 +309,6 @@ def _generic_solver(system, h, tab, cfg, mode):
     the preconditioner's transforms act on the s coefficient rows, and only
     the pointwise g sees the k stage rows.
     """
-    dim = system.dim
     form = system.semilinear
     if mode == "blended":
         precondition = form.make_preconditioner(h * tab.integration_matrix)
@@ -360,9 +326,6 @@ def _generic_solver(system, h, tab, cfg, mode):
                 forces[0] -= lin_y0
                 return precondition(forces)
 
-        elif mode == "simplified-newton-dense":
-            jac = _fd_jacobian(system.rhs, y0)
-            target = _newton(target, _lu(np.eye(tab.s * dim) - h * np.kron(tab.integration_matrix, jac)))
         coeffs, diag = _iterate(target, start, y0, h, cfg, mode, system.skew.n)
         return coeffs, diag, lambda coeffs: y0 + h * coeffs[0]
 
@@ -403,9 +366,8 @@ class Stepper:
 
     The constructor checks h, resolves the mode (SolverError for blended
     without a separable or semilinear stiffness preconditioner), and builds
-    X^2, the blended solve make_preconditioner(h^2 X^2) (make_preconditioner(h X)
-    on a semilinear system) and the dense-mode LU when its Jacobian is the
-    constant L.  A call does only the work that depends on y0.
+    X^2 and the blended solve make_preconditioner(h^2 X^2) (make_preconditioner(h X)
+    on a semilinear system).  A call does only the work that depends on y0.
 
     In blended mode a call from the state the Stepper last returned
     warm-starts the stage solve from the cubic extrapolation of the last
@@ -413,11 +375,11 @@ class Stepper:
     polynomial through all it has); any other y0 starts from zero.  The
     start changes the iteration count, not what the step accepts: one or
     two iterations fewer on the wave systems, two thirds of them on NLS.
-    The fixed point and dense Newton always start from zero: the plain fixed
-    point leaves stiff modes uncontracted, a warm start carries them from
-    step to step, and they grow.  A start of degree 0, 1 or 4 lets the
-    iteration counts flip under a 1% change of the data.  The chain is
-    state, so threads should not share a blended Stepper.
+    The fixed point always starts from zero: it leaves stiff modes
+    uncontracted, a warm start carries them from step to step, and they
+    grow.  A start of degree 0, 1 or 4 lets the iteration counts flip under
+    a 1% change of the data.  The chain is state, so threads should not
+    share a blended Stepper.
     """
 
     def __init__(self, system: SemiDiscreteSystem, h: float, method: HBVMMethod, cfg: SolverConfig = SolverConfig()):

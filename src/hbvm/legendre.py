@@ -8,12 +8,12 @@ nodes; their product gives the s x s tridiagonal integration matrix X,
 whose square shifts the stiff operator L in the blended stage solve,
 I + h^2 X^2 (x) L.
 
-Everything is built on numpy.polynomial.legendre: the nodes are leggauss's
-Golub-Welsch nodes mapped to [0,1], and P_j = sqrt(2j+1) L_j(2x-1) is
-evaluated by legval/legvander.  The weights are not leggauss's but the
-Christoffel numbers b_i = 1 / sum_{j<k} P_j(c_i)^2 of those nodes, which keep
-the discrete Gram identity V^T diag(b) V = I at roundoff (4e-16 at
-HBVM(20,6), against 1e-14 with leggauss's weights).
+The nodes are the Golub-Welsch eigenvalues of the Legendre Jacobi matrix
+(off-diagonals j / sqrt(4j^2 - 1)) mapped to [0,1], and P_j = sqrt(2j+1)
+L_j(2x-1) is evaluated by numpy.polynomial.legendre's legval/legvander.  The
+weights are the Christoffel numbers b_i = 1 / sum_{j<k} P_j(c_i)^2 of those
+nodes, which keep the discrete Gram identity V^T diag(b) V = I at roundoff
+(4e-16 at HBVM(20,6), against 1e-14 with leggauss's weights).
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ class QuadratureRule:
 
 @lru_cache(maxsize=None)
 def _gauss_rule_cached(k: int) -> QuadratureRule:
-    t, _ = npleg.leggauss(k)
+    j = np.arange(1.0, k)
+    t = np.linalg.eigvalsh(np.diag(j / np.sqrt(4.0 * j * j - 1.0), -1))
     # Enforce the exact root symmetry t_i = -t_{k+1-i} before mapping to [0,1].
     nodes = 0.5 * (1.0 + 0.5 * (t - t[::-1]))
     # Christoffel weights of the orthonormal family: b_i = 1 / sum_j P_j(c_i)^2.

@@ -234,7 +234,7 @@ class TestCLI:
         assert summary["config"]["steps"] == 4  # flag wins
         assert summary["config"]["h"] == 0.2  # file value kept
 
-    def test_bad_config_exit_code(self, capsys):
+    def test_bad_config_exit_code(self, tmp_path, capsys):
         assert main(["solve", "--problem", "sine-gordon", "--scheme", "fd4", "--bc", "neumann"]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert main(["solve", "--problem", "nls", "-N", "16", "--h", "nan", "--steps", "2"]) == 2
@@ -247,6 +247,14 @@ class TestCLI:
         for k, s in (("30", "1"), ("7", "7")):
             assert main(["solve", "-N", "40", "--steps", "2", "-k", k, "-s", s]) == 2
         assert "configuration error" in capsys.readouterr().err
+        # the retired dense Newton mode is an unknown solver like any other
+        retired = tmp_path / "retired_solver.json"
+        retired.write_text(json.dumps({"solver": "simplified-newton-dense", "steps": 2, "N": 40}))
+        assert main(["solve", "--config", str(retired)]) == 2
+        assert "unknown solver mode 'simplified-newton-dense'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "-N", "40", "--steps", "2", "--solver", "simplified-newton-dense"])
+        assert exit_info.value.code == 2
 
     def test_config_errors_that_used_to_crash(self, tmp_path, capsys):
         assert main(["solve", "--scheme", "fourier", "-N", "10", "-m", "5", "--steps", "2"]) == 2

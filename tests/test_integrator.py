@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
-from conftest import rk_step_direct
+from conftest import fd_jacobian, hbvm_newton_step, rk_step_direct
 from hbvm import problems
 from hbvm.comparators import composition_scheme, integrate_explicit
 from hbvm.integrator import (
@@ -47,6 +47,8 @@ class TestStepBasics:
             HBVMMethod(1, 2)
         with pytest.raises(ValueError):
             SolverConfig(tol=float("nan"))
+        with pytest.raises(ValueError, match="unknown solver mode"):
+            SolverConfig(mode="simplified-newton-dense")
 
     def test_quartic_oscillator_polynomial_conservation(self):
         # degree-4 energy with 2k/s = 4: conserved to roundoff
@@ -104,9 +106,8 @@ class TestCoefficientSolvers:
         y0 = rng.standard_normal(system.dim) * 0.3
         h = 0.005
         method = HBVMMethod(3, 2)
-        g_fp = Stepper(system, h, method, SolverConfig(tol=1e-15, mode="fixed-point")).coefficients(y0)
-        g_nd = Stepper(system, h, method, SolverConfig(tol=1e-15, mode="simplified-newton-dense")).coefficients(y0)
-        np.testing.assert_allclose(g_fp, g_nd, atol=1e-12)
+        y_fp, _ = Stepper(system, h, method, SolverConfig(tol=1e-15, mode="fixed-point"))(y0)
+        np.testing.assert_allclose(y_fp, hbvm_newton_step(system, y0, h, method, tol=1e-15), atol=1e-12)
 
     def test_zero_state_converges_immediately(self):
         stepper = Stepper(problems.quartic_oscillator(), 0.1, HBVMMethod(2, 1), SolverConfig(mode="fixed-point"))
@@ -171,16 +172,16 @@ class TestCoefficientSolvers:
         seed=st.integers(0, 2**32 - 1),
         amplitude=st.floats(0.1, 2.0),
     )
-    def test_blended_matches_dense_newton(self, name, s, extra_nodes, h, seed, amplitude):
+    def test_blended_matches_newton_oracle(self, name, s, extra_nodes, h, seed, amplitude):
         # the exact stiff-linear step (I + h^2 X^2 (x) L on the separable
-        # systems, I + h X (x) L on NLS) and the dense simplified-Newton
-        # oracle solve the same stage equations
+        # systems, I + h X (x) L on NLS) and the full-state Newton oracle
+        # solve the same stage equations
         system = _PRECONDITIONED[name]()
         method = HBVMMethod(s + extra_nodes, s)
         y0 = amplitude * np.random.default_rng(seed).standard_normal(system.dim)
         cfg = SolverConfig(mode="blended")
         y_bl, _ = step(system, y0, h, method, cfg)
-        y_nd, _ = step(system, y0, h, method, replace(cfg, mode="simplified-newton-dense"))
+        y_nd = hbvm_newton_step(system, y0, h, method, cfg.tol, cfg.max_iter)
         assert np.max(np.abs(y_bl - y_nd)) <= 100 * cfg.tol * (1.0 + np.max(np.abs(y0)))
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -192,40 +193,55 @@ class TestCoefficientSolvers:
         seed=st.integers(0, 2**32 - 1),
         amplitude=st.floats(0.1, 2.0),
     )
-    def test_fixed_point_matches_dense_newton(self, name, s, extra_nodes, fraction, seed, amplitude):
+    def test_fixed_point_matches_newton_oracle(self, name, s, extra_nodes, fraction, seed, amplitude):
         # h = fraction / r, with r = |J^2|_inf^(1/2) >= rho(J) for the
         # Jacobian J at y0, keeps the plain fixed point contracting
         # (h rho(X) rho(J) <= 1/4, rho(X) <= 1/2); there it solves the same
-        # stage equations as the dense simplified-Newton oracle
-        from hbvm.integrator import _fd_jacobian
-
+        # stage equations as the full-state Newton oracle
         system = _FIXED_POINT_SYSTEMS[name]()
         method = HBVMMethod(s + extra_nodes, s)
         y0 = amplitude * np.random.default_rng(seed).standard_normal(system.dim)
-        jac = _fd_jacobian(system.rhs, y0)
+        jac = fd_jacobian(system.rhs, y0)
         h = fraction / np.sqrt(np.max(np.sum(np.abs(jac @ jac), axis=1)))
         cfg = SolverConfig(mode="fixed-point")
         y_fp, _ = step(system, y0, h, method, cfg)
-        y_nd, _ = step(system, y0, h, method, replace(cfg, mode="simplified-newton-dense"))
+        y_nd = hbvm_newton_step(system, y0, h, method, cfg.tol, cfg.max_iter)
         assert np.max(np.abs(y_fp - y_nd)) <= 100 * cfg.tol * (1.0 + np.max(np.abs(y0)))
+
+    @pytest.mark.parametrize("k,s", [(5, 1), (6, 2)])
+    def test_newton_oracle_does_not_share_the_stage_positions(self, k, s):
+        # both modes build their stage positions from stage_weights; off by
+        # 1e-9 relative they still agree with each other, and only the
+        # oracle, which never reads stage_weights, sees the error
+        class OffPositions(HBVMMethod):
+            @property
+            def tables(self):
+                tab = super().tables
+                return replace(tab, stage_weights=(1 + 1e-9) * tab.stage_weights)
+
+        system = _PRECONDITIONED["periodic-fd6"]()
+        y0, h, tol = np.random.default_rng(0).standard_normal(system.dim), 0.3, SolverConfig.tol
+        bound = 100 * tol * (1.0 + np.max(np.abs(y0)))
+        y_bl, _ = Stepper(system, h, OffPositions(k, s), SolverConfig(mode="blended"))(y0)
+        y_fp, _ = Stepper(system, h, OffPositions(k, s), SolverConfig(mode="fixed-point"))(y0)
+        assert np.max(np.abs(y_bl - y_fp)) <= bound
+        y_nd = hbvm_newton_step(system, y0, h, HBVMMethod(k, s), tol)
+        assert np.max(np.abs(y_bl - y_nd)) > bound
+        assert np.max(np.abs(y_fp - y_nd)) > bound
 
     def test_fd_jacobian_from_row_probes(self):
         # entry [i, j] is d rhs_i / d y_j, each probe scaled by its own step
-        from hbvm.integrator import _fd_jacobian
-
         y = np.array([1.3, 0.4])
         exact = np.array([[0.0, 1.0], [-np.cos(1.3), 0.0]])
-        np.testing.assert_allclose(_fd_jacobian(problems.pendulum().rhs, y), exact, atol=1e-8)
+        np.testing.assert_allclose(fd_jacobian(problems.pendulum().rhs, y), exact, atol=1e-8)
 
-    @pytest.mark.parametrize("mode,probes", [("fixed-point", 0), ("blended", 0), ("simplified-newton-dense", 2)])
-    def test_generic_solve_evaluates_all_stages_in_one_call(self, mode, probes):
-        # one gradient (blended: nonlinear) call on the k stage rows per
-        # iteration, plus the two probe calls of the finite-difference
-        # Jacobian for dense Newton
+    @pytest.mark.parametrize("mode", ["fixed-point", "blended"])
+    def test_generic_solve_evaluates_all_stages_in_one_call(self, mode):
+        # one gradient (blended: nonlinear) call on the k stage rows per iteration
         system, y0 = problems.nls_system(N=16)
         system, calls = _counting(system)
         _, diag = step(system, y0, 0.01, HBVMMethod(5, 1), SolverConfig(mode=mode))
-        assert len(calls) == diag.iterations + probes
+        assert len(calls) == diag.iterations
 
     def test_blended_rejected_without_a_stiff_part(self):
         # the pendulum's force is all pointwise: no L for the blended step to solve
@@ -349,10 +365,8 @@ class TestFailFast:
         [
             ("fd6", "fixed-point"),
             ("fd6", "blended"),
-            ("fd6", "simplified-newton-dense"),
             ("nls", "fixed-point"),
             ("nls", "blended"),
-            ("nls", "simplified-newton-dense"),
         ],
     )
     def test_non_finite_rhs_stops_the_solve(self, name, mode):
@@ -684,8 +698,8 @@ class TestIntegrate:
         # maps sit inside the loop
         system, y0 = _MODE_SYSTEMS[name]()
         tol = 1e-14
-        results = {}
-        for mode in ("fixed-point", "blended", "simplified-newton-dense"):
+        results = {"newton-oracle": hbvm_newton_step(system, y0, 0.02, HBVMMethod(k, s), tol)}
+        for mode in ("fixed-point", "blended"):
             y1, _ = step(system, y0, 0.02, HBVMMethod(k, s), SolverConfig(mode=mode, tol=tol))
             results[mode] = y1
         ref = results["fixed-point"]

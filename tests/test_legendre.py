@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
 
 from hbvm.legendre import (
@@ -12,9 +13,10 @@ from hbvm.legendre import (
 
 
 def fine_rule(n=64):
-    # quadrature oracle on [0,1], independent of gauss_rule (which takes its
-    # nodes from numpy's leggauss): Golub-Welsch, the eigenpairs of the Jacobi
-    # matrix of the Legendre recurrence, nodes (t+1)/2 and weights v_0^2
+    # quadrature oracle on [0,1]: Golub-Welsch, the eigenpairs of the Jacobi
+    # matrix of the Legendre recurrence from scipy's tridiagonal solver, nodes
+    # (t+1)/2 and weights v_0^2 (gauss_rule takes only the eigenvalues, from
+    # numpy's dense eigvalsh, and Christoffel weights)
     j = np.arange(1, n)
     t, v = eigh_tridiagonal(np.zeros(n), j / np.sqrt(4.0 * j * j - 1.0))
     return 0.5 * (t + 1.0), v[0] ** 2
@@ -101,6 +103,13 @@ class TestGaussRule:
         nodes, weights = fine_rule(k)
         np.testing.assert_allclose(r.nodes, np.sort(nodes), rtol=0, atol=1e-14)
         np.testing.assert_allclose(r.weights, weights[np.argsort(nodes)], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("k", range(1, MAX_NODES + 1))
+    def test_nodes_match_newton_polished_leggauss(self, k):
+        # numpy's leggauss polishes its companion-matrix roots by a Newton step
+        # on L_k, so its nodes are within an ulp of the exact ones
+        t, _ = leggauss(k)
+        np.testing.assert_allclose(gauss_rule(k).nodes, 0.5 * (t + 1.0), rtol=0, atol=4.5e-16)
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
