@@ -50,6 +50,14 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
+def check_domain(domain) -> tuple:
+    """The endpoints (a, b) of an interval as floats; rejects a non-finite endpoint or a >= b, naming the domain."""
+    a, b = float(domain[0]), float(domain[1])
+    if not -np.inf < a < b < np.inf:
+        raise ValueError(f"domain must have finite endpoints a < b, got {tuple(domain)!r}")
+    return a, b
+
+
 def shifted_legendre_eval(j: int, x):
     """Orthonormal shifted Legendre polynomial P_j evaluated at x in [0,1]."""
     if j < 0:

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .legendre import check_count
+from .legendre import check_count, check_domain
 from .systems import (
     SemiDiscreteSystem, SemilinearForm, SeparableForm, SkewStructure, energy_sum, separable_system, shifted_solver,
 )
@@ -214,7 +214,7 @@ def build_nls_periodic(N: int, domain, kappa: float) -> SemiDiscreteSystem:
     g = 2 i kappa |psi|^2 psi and L = i T / dx^2, which the FFT diagonalizes
     with eigenvalues i t_j / dx^2 (t_j the symbol of T).
     """
-    a, b = float(domain[0]), float(domain[1])
+    a, b = check_domain(domain)
     check_count("N", N, 1)  # before dividing by it; StencilOperator checks the stencil's reach
     dx = (b - a) / N
     x = a + dx * np.arange(N)
@@ -302,11 +302,8 @@ def _oscillator(hamiltonian, accel, linear=None):
     """One-degree-of-freedom separable system; linear, if given, is the stiff part L = linear."""
     hooks = {}
     if linear is not None:
-
-        def linear_rows(stages):
-            return linear * stages
-
-        hooks = {"linear_operator": linear_rows, "make_preconditioner": partial(shifted_solver, eigenvalues=[linear])}
+        hooks = {"linear_operator": partial(np.multiply, linear),
+                 "make_preconditioner": partial(shifted_solver, eigenvalues=[linear])}
     return separable_system(SeparableForm(nq=1, accel=accel, **hooks), 1.0, hamiltonian, {"name": "oscillator"})
 
 

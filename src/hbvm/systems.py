@@ -95,8 +95,9 @@ class SeparableForm:
     ``None`` means the identity, as for finite differences, whose unknowns
     are the grid values.  make_preconditioner(shift) returns an exact solver
     of (I + shift (x) L) c = r on s coefficient rows for an s x s shift (h^2
-    X^2), leaving r untouched.  aug_rate(q, t) gives ptdot at rows of q and
-    their times: it reads positions only, so a solver needs no stage momenta.
+    X^2), leaving r untouched (shifted_solver, or a band LU for Dirichlet
+    and Neumann).  aug_rate(q, t) gives ptdot at rows of q and their times:
+    it reads positions only, so a solver needs no stage momenta.
     """
 
     nq: int
@@ -125,7 +126,7 @@ class SemilinearForm:
     linear_operator applies the stiff linear part L and nonlinear is the
     pointwise remainder g.  make_preconditioner(shift) returns an exact
     solver of (I + shift (x) L) c = r on s rows for an s x s shift (h X),
-    leaving r untouched.
+    leaving r untouched (for NLS, shifted_solver on the FFT modes).
     """
 
     nonlinear: Callable[[np.ndarray], np.ndarray]
@@ -198,29 +199,19 @@ def shifted_solver(shift, eigenvalues, to_modes=None, from_modes=None) -> Callab
     """Solver of (I + shift (x) L) c = r on s rows, for L = from_modes diag(eigenvalues) to_modes.
 
     The modes lie on the last axis (maps ``None``: L is diagonal in the rows).  Their s x s blocks
-    I + eigenvalue * shift are factored together by LU without pivoting: for L >= 0 and shift = h^2 X^2,
-    s <= 6, no pivot falls below 0.018 of its block's largest entry; for the complex blocks I + i tau X
-    of shift = h X and imaginary eigenvalues (|tau| in [1e-3, 1e6]), none below 1/(2s - 1).  At s = 1 a
-    solve is one divide.
+    I + eigenvalue * shift, real or complex, are inverted once, together, by LAPACK (LU with partial
+    pivoting), so a solve is s multiply-adds of inverse columns and mode rows: one multiply at s = 1.
     """
     s = len(shift)
-    lu = np.multiply.outer(shift, eigenvalues)
-    pivots = lu.reshape(s * s, -1)[:: s + 1]  # the diagonals of the blocks, a view
-    pivots += 1.0
-    for j in range(s - 1):
-        lu[j + 1 :, j] /= lu[j, j]
-        lu[j + 1 :, j + 1 :] -= lu[j + 1 :, j, None] * lu[j, None, j + 1 :]
-    # (L D U')^-1 r = U'^-1 L'^-1 D^-1 r, with L' = D^-1 L D and U' = D^-1 U of unit diagonal
-    lower = [(i, j, lu[i, j] * lu[j, j] / lu[i, i]) for i in range(s) for j in range(i)]
-    upper = [(i, j, lu[i, j] / lu[i, i]) for i in reversed(range(s)) for j in range(i + 1, s)]
+    inverse = np.linalg.inv(np.eye(s) + np.multiply.outer(eigenvalues, shift))
+    columns = list(np.ascontiguousarray(inverse.transpose(2, 1, 0)))  # columns[j][i, m]: entry (i, j), mode m
 
     def solve(rows: np.ndarray) -> np.ndarray:
-        z = (rows if to_modes is None else to_modes(rows)) / pivots
-        for i, j, factor in lower:
-            z[i] -= factor * z[j]
-        for i, j, factor in upper:
-            z[i] -= factor * z[j]
-        return z if from_modes is None else from_modes(z)
+        z = rows if to_modes is None else to_modes(rows)
+        out = columns[0] * z[0]
+        for j in range(1, s):
+            out += columns[j] * z[j]
+        return out if from_modes is None else from_modes(out)
 
     return solve
 

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg.lapack
 
 from . import kernels
-from .legendre import check_count
+from .legendre import check_count, check_domain
 from .systems import SemiDiscreteSystem, SeparableForm, energy_sum, separable_system, shifted_solver
 
 __all__ = [
@@ -187,7 +187,7 @@ def build_periodic(N: int, order: int, domain, f, fprime, name: str = "wave") ->
     H = dx [p.p/2 + q.Tq/(2 dx^2) + sum f(q)], pdot = -Tq/dx^2 - f'(q), with
     accel = -f'(q) and L = T/dx^2.
     """
-    a, b = float(domain[0]), float(domain[1])
+    a, b = check_domain(domain)
     check_count("N", N, 1)  # before dividing by it; StencilOperator checks the stencil's reach
     dx = (b - a) / N
     x = a + dx * np.arange(N)
@@ -219,7 +219,7 @@ def _augmented_system(N, domain, f, fprime, boundary, kind, name) -> SemiDiscret
     """
     if boundary.kind != kind:
         raise ValueError(f"build_{kind} requires {kind.capitalize()} boundary data")
-    a, b = float(domain[0]), float(domain[1])
+    a, b = check_domain(domain)
     check_count("N", N, 1)  # before dividing by N + 1; StencilOperator checks the stencil's reach
     dx = (b - a) / (N + 1)
     op = StencilOperator(N, kind, 2, dx)

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .legendre import check_count, check_domain
 from .systems import SemiDiscreteSystem, SeparableForm, energy_sum, separable_system, shifted_solver
 
 __all__ = [
@@ -179,7 +180,9 @@ def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wa
     the grid (its coefficient decouples linearly; harmless for spectrally
     resolved data).  m >= 2N+1 gives the exact discrete Gram identity.
     """
-    a, b = float(domain[0]), float(domain[1])
+    a, b = check_domain(domain)
+    check_count("N", N, 1)
+    check_count("m", m, 1)
     basis = FourierBasis(n_modes=N, a=a, b=b)
     spec = SpectralSystem(basis=basis, m=m, fprime=fprime)
     diag = basis.stiffness_diagonal()

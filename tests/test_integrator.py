@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
-from conftest import fd_jacobian, hbvm_newton_step, rk_step_direct
+from conftest import fd_jacobian, fitted_rate, hbvm_newton_step, rk_step_direct
 from hbvm import problems
 from hbvm.comparators import composition_scheme, integrate_explicit
 from hbvm.integrator import (
@@ -567,6 +567,44 @@ class TestTimeReversibility:
         back, _ = step(system, y1, h, method)
         back[n:] = -back[n:]
         assert np.max(np.abs(back - y)) <= 1e-12 * (1.0 + np.max(np.abs(y)))
+
+
+# builder, and the largest stepsize H at s = 1..4: it keeps every error of TestOrder between 1e-10 and 1e-1
+_ORDER_SYSTEMS = {
+    "harmonic": (problems.harmonic_oscillator, (0.25, 0.5, 1.0, 1.0)),
+    "quartic": (problems.quartic_oscillator, (0.25, 0.35, 0.4, 0.5)),
+    "fd2": (lambda: problems.quartic_wave_system(N=16)[0], (0.05, 0.1, 0.1, 0.17)),
+    "nls": (lambda: problems.nls_system(N=16)[0], (0.005, 0.01, 0.02, 0.04)),
+}
+
+
+class TestOrder:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_ORDER_SYSTEMS)),
+        s=st.integers(1, 4),
+        extra_nodes=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_global_error_falls_as_h_to_the_2s(self, name, s, extra_nodes, seed):
+        # HBVM(k,s) has order 2s: over T = 8H, the max-norm errors at h = H, 2H/3 and H/2 against the
+        # same method at H/16 fit a slope of 2s in log-log, on the fixed point (quartic oscillator) and
+        # on the blended step with its shifted solves (the others).  On the quartic oscillator the Gauss
+        # method HBVM(s,s) still misses the slope by up to 0.46 at s = 4 where its errors stay above
+        # 1e-11, so it draws k > s there
+        build, largest = _ORDER_SYSTEMS[name]
+        system, method = build(), HBVMMethod(s + extra_nodes + (name == "quartic"), s)
+        state = np.random.default_rng(seed).uniform(-1.0, 1.0, system.dim)
+        y0 = state / np.max(np.abs(state))
+        final_time, steps = 8 * largest[s - 1], np.array([8, 12, 16, 128])
+        finals = []
+        for n in steps:
+            rec = integrate(system, y0, final_time / n, n, method, record_stride=0)
+            assert rec.mode == ("fixed-point" if name == "quartic" else "blended")
+            finals.append(rec.final_state)
+        errors = [np.max(np.abs(y - finals[-1])) for y in finals[:3]]
+        assert min(errors) >= 1e-11
+        assert fitted_rate(final_time / steps[:3], errors) == pytest.approx(2 * s, abs=0.3)
 
 
 def _mass_and_energy_drift(method, amplitude, mode, phase):

@@ -4,6 +4,8 @@ import pytest
 from conftest import reference_solve
 from hbvm import problems
 from hbvm.integrator import HBVMMethod, SolverConfig, integrate
+from hbvm.wave_fd import BoundaryData, build_dirichlet, build_neumann, build_periodic
+from hbvm.wave_fourier import build_fourier
 
 
 class TestExactSoliton:
@@ -140,3 +142,34 @@ class TestNLS:
         assert errors[0] <= 1e-3
         assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
 
+
+_ZERO = lambda u: np.zeros_like(u)
+_BUILDERS = {
+    "periodic": lambda domain: build_periodic(16, 2, domain, _ZERO, _ZERO),
+    "dirichlet": lambda domain: build_dirichlet(16, domain, _ZERO, _ZERO, BoundaryData("dirichlet", *[_ZERO] * 4)),
+    "neumann": lambda domain: build_neumann(16, domain, _ZERO, _ZERO, BoundaryData("neumann", *[_ZERO] * 4)),
+    "nls": lambda domain: problems.build_nls_periodic(16, domain, 1.0),
+    "fourier": lambda domain, N=4, m=16: build_fourier(N, m, domain, _ZERO, _ZERO, _ZERO, _ZERO),
+}
+_BAD_INPUTS = [
+    pytest.param(name, (a, b), {}, r"domain must have finite endpoints a < b, got \(", id=f"{name}-{a}-{b}")
+    for name in _BUILDERS
+    for a, b in [(1.0, 0.0), (20.0, -20.0), (0.5, 0.5), (np.nan, 1.0), (0.0, np.nan), (-np.inf, 0.0), (0.0, np.inf)]
+] + [
+    pytest.param("fourier", (0.0, 1.0), sizes, message, id="fourier-" + "-".join(f"{k}{v}" for k, v in sizes.items()))
+    for sizes, message in [
+        ({"N": 0, "m": 0}, "N must be at least 1, got 0"),
+        ({"N": 1, "m": 0}, "m must be at least 1, got 0"),
+        ({"N": 2.0}, "N must be an integer"),
+        ({"m": 16.0}, "m must be an integer"),
+    ]
+]
+
+
+class TestBuilderInputs:
+    @pytest.mark.parametrize("name, domain, sizes, message", _BAD_INPUTS)
+    def test_bad_input_rejected_at_entry(self, name, domain, sizes, message):
+        # a reversed domain would give a negative dx and energy, and a NaN endpoint would fail in the numerics
+        with pytest.raises(ValueError, match=message):
+            _BUILDERS[name](domain, **sizes)
+        assert _BUILDERS[name]((-1.0, 1.0)).descriptor["domain"] == (-1.0, 1.0)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import reference_solve
 from hbvm import problems
-from hbvm.systems import SkewStructure, energy_sum, hamiltonian_drift
+from hbvm.legendre import hbvm_tables
+from hbvm.systems import SkewStructure, energy_sum, hamiltonian_drift, shifted_solver
 from hbvm.wave_fd import StencilOperator
 
 
@@ -215,6 +216,36 @@ class TestHamiltonianDrift:
         sol = reference_solve(system, y0, (0.0, 2.0), t_eval=np.linspace(0.0, 2.0, 9))
         drift = hamiltonian_drift(system, sol.y.T)
         assert np.max(np.abs(drift)) <= 1e-9
+
+
+class TestShiftedSolver:
+    @pytest.mark.parametrize("s", range(1, 7))
+    @pytest.mark.parametrize("kind", ["real", "imaginary", "circulant"])
+    def test_matches_a_dense_solve(self, kind, s, rng):
+        # (I + shift (x) L) c = r against np.linalg.solve of the dense matrix, mode by mode, over the
+        # ranges the blended step meets: L >= 0 with shift = h^2 X^2 and lambda h^2 in {0} and
+        # [1e-3, 1e6], imaginary L = i tau / h with shift = h X and |tau| in [1e-3, 1e6], and a
+        # circulant fd6 stencil through the rfft/irfft maps
+        h, xs, maps = 0.3, hbvm_tables(s, s).integration_matrix, ()
+        scaled = np.concatenate([[0.0], np.logspace(-3.0, 6.0, 46)])
+        if kind == "real":
+            shift, eigenvalues = h * h * (xs @ xs), scaled / h**2
+            rows = rng.standard_normal((s, eigenvalues.size))
+        elif kind == "imaginary":
+            shift, eigenvalues = h * xs, 1j * scaled[1:] * np.resize([1.0, -1.0], scaled.size - 1) / h
+            rows = rng.standard_normal((s, eigenvalues.size)) + 1j * rng.standard_normal((s, eigenvalues.size))
+        else:  # lambda h^2 up to 2200
+            op, h = StencilOperator(16, "periodic", 6, 1.0), 20.0
+            shift, eigenvalues = h * h * (xs @ xs), op.symbol()[:9]
+            maps = (partial(np.fft.rfft, axis=1), partial(np.fft.irfft, n=16, axis=1))
+            rows = rng.standard_normal((s, 16))
+        lin = np.column_stack([op.apply(col) for col in np.eye(16)]) if maps else np.diag(eigenvalues)
+        solver = shifted_solver(shift, eigenvalues, *maps)
+        kept = rows.copy()
+        expected = np.linalg.solve(np.eye(rows.size) + np.kron(shift, lin), rows.ravel()).reshape(rows.shape)
+        error = np.max(np.abs(solver(rows) - expected), axis=0)
+        assert np.all(error <= 1e-13 * np.max(np.abs(expected), axis=0))
+        np.testing.assert_array_equal(rows, kept)
 
 
 def _fsum_energy(system, y):
