@@ -16,6 +16,8 @@ import re
 import sys
 
 from .experiments import (
+    BCS,
+    SCHEMES,
     ConfigError,
     RunConfig,
     run_convergence,
@@ -32,10 +34,10 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--problem", choices=["sine-gordon", "quartic-wave", "nls"])
     parser.add_argument("--gamma", type=float, help="sine-Gordon soliton parameter")
     parser.add_argument("--kappa", type=float, help="NLS coupling")
-    parser.add_argument("--bc", choices=["periodic", "dirichlet", "neumann"])
-    parser.add_argument("--scheme", choices=["fd2", "fd4", "fd6", "fourier"])
+    parser.add_argument("--bc", choices=BCS)
+    parser.add_argument("--scheme", choices=SCHEMES)
     parser.add_argument("-N", type=int, dest="N", help="mesh points / Fourier modes")
-    parser.add_argument("-m", type=int, dest="m", help="spectral quadrature points")
+    parser.add_argument("-m", type=int, dest="m", help="spectral quadrature points (default 2N)")
     parser.add_argument("-k", type=int, dest="k", help="quadrature nodes of the method")
     parser.add_argument("-s", type=int, dest="s", help="polynomial degree of the method")
     parser.add_argument("--h", type=float, dest="h", help="stepsize")

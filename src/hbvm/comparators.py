@@ -74,33 +74,33 @@ def _require_separable(system: SemiDiscreteSystem):
     return system.separable
 
 
-def _leapfrog(pdot, y, nq, force, t, substeps):
-    """Kick-drift-kick substeps of the given sizes from y at time t -> (y1, force, t1).
+def _leapfrog(pdot, y, nq, force, substeps):
+    """Kick-drift-kick substeps of the given sizes from y -> (y1, force).
 
-    force = pdot(q, t) on entry; the force closing one substep opens the
-    next, so each substep costs one evaluation.
+    force = pdot(q) on entry; the force closing one substep opens the
+    next, so each substep costs one evaluation.  The system is autonomous
+    (see _require_separable), so pdot's times are a dummy zero.
     """
     q, p = y[:nq].copy(), y[nq:].copy()
     for dt in substeps:
         p += 0.5 * dt * force
         q += dt * p
-        t += dt
-        force = pdot(q[None, :], np.array([t]))[0]
+        force = pdot(q[None, :], np.zeros(1))[0]
         p += 0.5 * dt * force
-    return np.concatenate([q, p]), force, t
+    return np.concatenate([q, p]), force
 
 
-def composition_step(system: SemiDiscreteSystem, y0, h: float, scheme: CompositionScheme, t: float = 0.0):
+def composition_step(system: SemiDiscreteSystem, y0, h: float, scheme: CompositionScheme):
     """One composed step: Stormer-Verlet substeps with scaled stepsizes."""
     sep = _require_separable(system)
     y0 = np.asarray(y0, dtype=float)
-    force = sep.pdot(y0[None, : sep.nq], np.array([t]))[0]
-    return _leapfrog(sep.pdot, y0, sep.nq, force, t, scheme.coefficients * h)[0]
+    force = sep.pdot(y0[None, : sep.nq], np.zeros(1))[0]
+    return _leapfrog(sep.pdot, y0, sep.nq, force, scheme.coefficients * h)[0]
 
 
-def stormer_verlet_step(system: SemiDiscreteSystem, y0, h: float, t: float = 0.0):
+def stormer_verlet_step(system: SemiDiscreteSystem, y0, h: float):
     """One kick-drift-kick leapfrog step (second order, symmetric, explicit)."""
-    return composition_step(system, y0, h, composition_scheme(2), t)
+    return composition_step(system, y0, h, composition_scheme(2))
 
 
 def integrate_explicit(
@@ -115,16 +115,15 @@ def integrate_explicit(
     """Composition-method trajectory through integrator.drive; the force closing
     one step opens the next.  A state beyond DIVERGENCE_NORM diverges."""
     sep = _require_separable(system)
-    nq = sep.nq
     substeps = scheme.coefficients * h
     diagnostics = StepDiagnostics(iterations=substeps.size, residual=0.0, mode=f"sv{scheme.order}")
-    force, t = None, 0.0
+    force = None
 
     def advance(y):
-        nonlocal force, t
+        nonlocal force
         if force is None:
-            force = sep.pdot(y[None, :nq], np.zeros(1))[0]
-        y, force, t = _leapfrog(sep.pdot, y, nq, force, t, substeps)
+            force = sep.pdot(y[None, : sep.nq], np.zeros(1))[0]
+        y, force = _leapfrog(sep.pdot, y, sep.nq, force, substeps)
         if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > DIVERGENCE_NORM:
             raise SolverError("explicit method diverged")
         return y, diagnostics

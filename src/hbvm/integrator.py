@@ -240,7 +240,7 @@ def _iterate(target, start, y0, h, cfg: SolverConfig, mode: str, n: int):
 # ---------------------------------------------------------------------------
 
 def _separable_solver(system, h, tab, cfg, mode):
-    """solve(y0, start) -> (coeffs, diagnostics, finish), where finish(coeffs) is the step's output y1.
+    """solve(y0, start) -> (coeffs, diagnostics, y1), y1 the step's output.
 
     The stage positions are Q = Q0 + h^2 W c with Q0_i = q0 + c_i h p0 (base)
     and W = stage_weights, and B = weighted_basis has B W = X^2.  So the
@@ -279,18 +279,15 @@ def _separable_solver(system, h, tab, cfg, mode):
             def target(coeffs):
                 return precondition(forces(coeffs))
 
-        def finish(coeffs):
-            y1 = np.empty_like(y0)
-            y1[nq : 2 * nq] = p0 + h * coeffs[0]
-            y1[:nq] = q0 + h * p0 + h * h * np.dot(tab.integration_matrix[0], coeffs)
-            if system.augmented:
-                stage_q = base + h * h * (tab.stage_weights @ coeffs)
-                y1[2 * nq] = t0 + h
-                y1[2 * nq + 1] = y0[2 * nq + 1] + h * float(tab.weights @ sep.aug_rate(stage_q, times))
-            return y1
-
         coeffs, diag = _iterate(target, start, y0, h, cfg, mode, nq)
-        return coeffs, diag, finish
+        y1 = np.empty_like(y0)
+        y1[nq : 2 * nq] = p0 + h * coeffs[0]
+        y1[:nq] = q0 + h * p0 + h * h * np.dot(tab.integration_matrix[0], coeffs)
+        if system.augmented:
+            stage_q = base + h * h * (tab.stage_weights @ coeffs)
+            y1[2 * nq] = t0 + h
+            y1[2 * nq + 1] = y0[2 * nq + 1] + h * float(tab.weights @ sep.aug_rate(stage_q, times))
+        return coeffs, diag, y1
 
     return solve
 
@@ -300,7 +297,7 @@ def _separable_solver(system, h, tab, cfg, mode):
 # ---------------------------------------------------------------------------
 
 def _generic_solver(system, h, tab, cfg, mode):
-    """solve(y0, start) -> (coeffs, diagnostics, finish) for a non-separable system.
+    """solve(y0, start) -> (coeffs, diagnostics, y1) for a non-separable system.
 
     The stage states are Y = y0 + h N c (N = node_integrals) and B N = X,
     B 1 = e_0 (B = weighted_basis).  So for ydot = g(y) - L y the fixed-point
@@ -327,7 +324,7 @@ def _generic_solver(system, h, tab, cfg, mode):
                 return precondition(forces)
 
         coeffs, diag = _iterate(target, start, y0, h, cfg, mode, system.skew.n)
-        return coeffs, diag, lambda coeffs: y0 + h * coeffs[0]
+        return coeffs, diag, y0 + h * coeffs[0]
 
     return solve
 
@@ -402,8 +399,7 @@ class Stepper:
         y0 = _checked_state(self.system, y0)
         if not (self._length and np.array_equal(y0, self._last)):
             self._length = 0
-        coeffs, diag, finish = self._solve(y0, _warm_start(self._chain[4 - self._length :]).reshape(self._shape))
-        y1 = finish(coeffs)
+        coeffs, diag, y1 = self._solve(y0, _warm_start(self._chain[4 - self._length :]).reshape(self._shape))
         self._chain[:-1], self._chain[-1] = self._chain[1:], coeffs.ravel()
         self._length, self._last = min(self._length + 1, self._keep), y1.copy()  # the caller may change y1 in place
         return y1, diag

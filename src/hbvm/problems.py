@@ -60,34 +60,29 @@ def sine_gordon_regime(gamma: float) -> str:
 
 
 def _phi_and_rate(gamma: float, t):
-    """Time factor phi(t; gamma) of the soliton and its derivative.
+    """Time factor phi(t; gamma) = sin(eps t / gamma) / eps of the soliton and its derivative.
 
-    All three regimes are evaluated through sin(a)/a or sinh(a)/a forms, so
-    values stay continuous through gamma = 1.
+    eps = sqrt(gamma^2 - 1) is real for the breather and imaginary for the
+    kink-antikink (sin(i a)/(i a) = sinh(a)/a, cos(i a) = cosh(a)), so one
+    sinc form covers both and stays continuous through gamma = 1, where
+    phi = t and the rate is the scalar 1.
     """
     t = np.asarray(t, dtype=float)
     if gamma == 1.0:
-        return t + 0.0, np.ones_like(t)
-    if gamma > 1.0:
-        eps = np.sqrt(gamma * gamma - 1.0)
-        arg = eps * t / gamma
-        phi = (t / gamma) * np.sinc(arg / np.pi)
-        rate = np.cos(arg) / gamma
-        return phi, rate
-    eps = np.sqrt(1.0 - gamma * gamma)
-    arg = eps * t / gamma
-    small = np.abs(arg) < 1e-8
-    ratio = np.where(small, 1.0 + arg * arg / 6.0, np.sinh(np.where(small, 1.0, arg)) / np.where(small, 1.0, arg))
-    phi = (t / gamma) * ratio
-    rate = np.cosh(arg) / gamma
-    return phi, rate
+        return t + 0.0, 1.0
+    arg = math.sqrt(abs(gamma * gamma - 1.0)) * t / gamma
+    if gamma < 1.0:
+        # eps = i |eps|, turned after the real division (a complex one rounds differently); phi and the
+        # rate are even in arg, and the floor keeps np.sinc's complex division finite at subnormal arg
+        arg = np.hypot(arg, 1e-300) * 1j
+    return (t / gamma) * np.sinc(arg / np.pi).real, np.cos(arg).real / gamma
 
 
 def sine_gordon_exact(gamma: float, x, t):
     """Closed-form soliton u(x, t) = 4 atan[phi(t) sech(x/gamma)]."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    x = np.asarray(x, dtype=float)
+    x = np.float64(x)  # a float array, or for a scalar a numpy scalar: cheaper than a 0-d array
     phi, _ = _phi_and_rate(gamma, t)
     return 4.0 * np.arctan(phi * _sech(x / gamma))
 
@@ -110,14 +105,10 @@ def sine_gordon_initial(gamma: float):
     return psi0, psi1
 
 
-def _exact_trace(gamma: float, x0: float):
-    """u, u_t, u_x, u_xt of the exact soliton at a fixed location x0."""
+def _exact_trace(gamma: float, x0: float, kind: str):
+    """(g, dg/dt) of the exact soliton at a fixed location x0: u, u_t (dirichlet) or u_x, u_xt (neumann)."""
     s = _sech(x0 / gamma)
     th = np.tanh(x0 / gamma)
-
-    def value(t):
-        phi, _ = _phi_and_rate(gamma, t)
-        return 4.0 * np.arctan(phi * s)
 
     def value_t(t):
         phi, rate = _phi_and_rate(gamma, t)
@@ -132,19 +123,15 @@ def _exact_trace(gamma: float, x0: float):
         den = 1.0 + (phi * s) ** 2
         return -(4.0 / gamma) * s * th * rate * (1.0 - (phi * s) ** 2) / den**2
 
-    return value, value_t, slope, slope_t
+    return (partial(sine_gordon_exact, gamma, x0), value_t) if kind == "dirichlet" else (slope, slope_t)
 
 
 def sine_gordon_boundary_data(gamma: float, kind: str, domain=DEFAULT_DOMAIN) -> BoundaryData:
     """Boundary data matching the exact soliton: traces for Dirichlet, slopes for Neumann."""
-    a, b = float(domain[0]), float(domain[1])
-    la_val, la_dt, la_slope, la_slope_t = _exact_trace(gamma, a)
-    rb_val, rb_dt, rb_slope, rb_slope_t = _exact_trace(gamma, b)
-    if kind == "dirichlet":
-        return BoundaryData(kind="dirichlet", left=la_val, left_deriv=la_dt, right=rb_val, right_deriv=rb_dt)
-    if kind == "neumann":
-        return BoundaryData(kind="neumann", left=la_slope, left_deriv=la_slope_t, right=rb_slope, right_deriv=rb_slope_t)
-    raise ValueError(f"unknown boundary kind {kind!r}")
+    if kind not in ("dirichlet", "neumann"):
+        raise ValueError(f"unknown boundary kind {kind!r}")
+    (left, left_deriv), (right, right_deriv) = (_exact_trace(gamma, float(x0), kind) for x0 in domain)
+    return BoundaryData(kind=kind, left=left, left_deriv=left_deriv, right=right, right_deriv=right_deriv)
 
 
 def sine_gordon_system(
@@ -157,25 +144,28 @@ def sine_gordon_system(
 ):
     """(system, y0) for the sine-Gordon problem under the requested discretization."""
     psi0, psi1 = sine_gordon_initial(gamma)
+    if bc == "periodic":
+        return _periodic_wave(scheme, N, m, domain, sine_gordon_f, sine_gordon_fprime, psi0, psi1, "sine-gordon")
+    boundary = sine_gordon_boundary_data(gamma, bc, domain)
+    if scheme != "fd2":
+        raise ValueError(f"the {bc} boundary supports the fd2 scheme only, got {scheme!r}")
+    builder = build_dirichlet if bc == "dirichlet" else build_neumann
+    system = builder(N, domain, sine_gordon_f, sine_gordon_fprime, boundary, name="sine-gordon")
+    x = system.descriptor["x"]
+    return system, np.concatenate([psi0(x), psi1(x), np.zeros(2)])
+
+
+def _periodic_wave(scheme, N, m, domain, f, fprime, psi0, psi1, name):
+    """(system, y0) of a periodic wave problem: Fourier-Galerkin, or the fd2/fd4/fd6 stencil."""
     if scheme == "fourier":
-        if bc != "periodic":
-            raise ValueError("the Fourier scheme requires periodic boundary conditions")
-        system = build_fourier(N, m, domain, sine_gordon_f, sine_gordon_fprime, psi0, psi1, name="sine-gordon")
+        system = build_fourier(N, m, domain, f, fprime, psi0, psi1, name=name)
         return system, system.descriptor["y0"].copy()
     order = {"fd2": 2, "fd4": 4, "fd6": 6}.get(scheme)
     if order is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if bc == "periodic":
-        system = build_periodic(N, order, domain, sine_gordon_f, sine_gordon_fprime, name="sine-gordon")
-    else:
-        if order != 2:
-            raise ValueError("higher-order stencils are supported for periodic boundaries only")
-        boundary = sine_gordon_boundary_data(gamma, bc, domain)
-        builder = build_dirichlet if bc == "dirichlet" else build_neumann
-        system = builder(N, domain, sine_gordon_f, sine_gordon_fprime, boundary, name="sine-gordon")
+    system = build_periodic(N, order, domain, f, fprime, name=name)
     x = system.descriptor["x"]
-    y0 = np.concatenate([psi0(x), psi1(x)] + ([np.zeros(2)] if system.augmented else []))
-    return system, y0
+    return system, np.concatenate([psi0(x), psi1(x)])
 
 
 def quartic_wave_f(u):
@@ -195,13 +185,7 @@ def quartic_wave_system(N: int = 32, scheme: str = "fd2", m: int = 80, domain=(0
     def psi1(x):
         return 0.5 * np.cos(2.0 * np.pi * (np.asarray(x) - domain[0]) / (domain[1] - domain[0]))
 
-    if scheme == "fourier":
-        system = build_fourier(N, m, domain, quartic_wave_f, quartic_wave_fprime, psi0, psi1, name="quartic-wave")
-        return system, system.descriptor["y0"].copy()
-    order = {"fd2": 2, "fd4": 4, "fd6": 6}[scheme]
-    system = build_periodic(N, order, domain, quartic_wave_f, quartic_wave_fprime, name="quartic-wave")
-    x = system.descriptor["x"]
-    return system, np.concatenate([psi0(x), psi1(x)])
+    return _periodic_wave(scheme, N, m, domain, quartic_wave_f, quartic_wave_fprime, psi0, psi1, "quartic-wave")
 
 
 def build_nls_periodic(N: int, domain, kappa: float) -> SemiDiscreteSystem:

@@ -14,6 +14,7 @@ from hbvm.experiments import (
     run_solve,
     run_work_precision,
 )
+from hbvm.integrator import SolverConfig
 
 TINY = dict(problem="sine-gordon", N=40, k=3, s=1, h=0.1, steps=12, stride=4)
 
@@ -44,6 +45,17 @@ class TestRunConfig:
         RunConfig(scheme="fourier", N=10, m=20).validate()
         RunConfig(scheme="fd2", N=10, m=5).validate()  # m is read by the Fourier scheme only
 
+    def test_fourier_quadrature_defaults_to_2n(self):
+        assert RunConfig(scheme="fourier", N=10).validate().m == 20
+        assert RunConfig(N=np.int64(10)).validate().m == 20
+        system, _, _ = build_run(RunConfig(scheme="fourier", N=16))
+        assert system.descriptor["spectral"].m == 32
+        system, _, _ = build_run(RunConfig(problem="quartic-wave", scheme="fourier", N=16, m=40))
+        assert system.descriptor["spectral"].m == 40  # an explicit m is kept
+
+    def test_solver_defaults_follow_solver_config(self):
+        assert RunConfig().solver_config() == SolverConfig(mode="auto")
+
     def test_problem_bc_combinations_rejected(self):
         from hbvm.experiments import build_run
 
@@ -53,6 +65,8 @@ class TestRunConfig:
             build_run(RunConfig(problem="quartic-wave", bc="neumann"))
         with pytest.raises(ConfigError):
             build_run(RunConfig(problem="nls", scheme="fourier", m=800))
+        with pytest.raises(ConfigError, match="unknown scheme 'fd3'"):
+            build_run(RunConfig(problem="quartic-wave", scheme="fd3"))
 
     def test_parse_method(self):
         kind, method = parse_method("HBVM(6,2)")
@@ -161,6 +175,16 @@ class TestRunWorkPrecision:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
             run_work_precision(RunConfig(**TINY), methods=["hbvm(2,1)"])
+
+    @pytest.mark.parametrize(
+        "config", [dict(problem="nls", N=16), dict(bc="dirichlet", N=40), dict(problem="quartic-wave", N=16)]
+    )
+    def test_requires_analytic_reference(self, config):
+        for methods in (None, ["sv2"]):
+            with pytest.raises(ConfigError, match="analytic reference"):
+                run_work_precision(RunConfig(**config), methods=methods, final_time=1.0)
+        with pytest.raises(ConfigError, match="analytic reference"):
+            run_convergence(RunConfig(**config), [10, 20], final_time=1.0)
 
     def test_explicit_method_flagged_unstable_on_stiff_spectral_system(self):
         # leapfrog stability requires h * w_max < 2; the 100-mode spectral
@@ -357,3 +381,10 @@ class TestCLI:
 
     def test_quartic_wave_solve(self):
         assert main(["solve", "--problem", "quartic-wave", "-N", "16", "--h", "0.05", "--steps", "8"]) == 0
+
+    def test_fourier_solve_with_default_quadrature(self, tmp_path):
+        # m defaults to 2N, so the default N = 400 gets the m = 800 it needs
+        out = str(tmp_path / "f")
+        assert main(["solve", "--scheme", "fourier", "--steps", "2", "--out", out]) == 0
+        assert json.loads((tmp_path / "f_summary.json").read_text())["config"]["m"] == 800
+        assert (tmp_path / "f_solution.csv").read_text().count("\n") == 801  # header and the 2N quadrature points

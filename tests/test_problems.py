@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import reference_solve
 from hbvm import problems
@@ -36,6 +37,44 @@ class TestExactSoliton:
             uxx = np.sum(stencil * problems.sine_gordon_exact(gamma, x + d * np.arange(-2, 3), t)) / d**2
             u = problems.sine_gordon_exact(gamma, x, t)
             assert abs(utt - uxx + np.sin(u)) < 1e-5
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(gamma=st.floats(0.2, 3.0).filter(lambda g: g != 1.0), t=st.floats(-100.0, 100.0))
+    def test_time_factor_matches_each_regime_closed_form(self, gamma, t):
+        # one sinc formula against sin(eps t/gamma)/eps (breather) and sinh(|eps| t/gamma)/|eps|
+        # (kink-antikink), with their rates cos and cosh over gamma
+        eps = np.sqrt(abs(gamma * gamma - 1.0))
+        arg = eps * t / gamma
+        if gamma > 1.0:  # compared on the scale of the breather's amplitudes 1/eps and 1/gamma
+            closed, scale = (np.sin(arg) / eps, np.cos(arg) / gamma), (1.0 / eps, 1.0 / gamma)
+        else:
+            closed, scale = (np.sinh(arg) / eps, np.cosh(arg) / gamma), (0.0, 0.0)
+        for value, exact, floor in zip(problems._phi_and_rate(gamma, t), closed, scale):
+            assert abs(value - exact) <= 1e-13 * max(abs(exact), floor)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(gamma=st.floats(0.2, 3.0), t=st.floats(-100.0, 100.0))
+    def test_time_factor_rate_is_its_derivative(self, gamma, t):
+        d = 1e-4
+        phi = lambda s: problems._phi_and_rate(gamma, s)[0]
+        central = (phi(t + d) - phi(t - d)) / (2.0 * d)
+        rate = problems._phi_and_rate(gamma, t)[1]
+        assert abs(central - rate) <= 1e-6 * max(abs(rate), 1.0 / gamma)
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.1, 3.0])
+    def test_time_factor_at_zero_and_at_unit_gamma(self, gamma):
+        phi, rate = problems._phi_and_rate(gamma, np.array([0.0, -0.0]))
+        np.testing.assert_array_equal(phi, [0.0, 0.0])
+        assert np.all(rate == 1.0 / gamma)
+        tiny = np.array([5e-324, -1e-310, 1e-300, -1e-200])  # sinc's complex division must not overflow
+        phi, rate = problems._phi_and_rate(gamma, tiny)
+        np.testing.assert_allclose(phi, tiny / gamma, rtol=1e-15, atol=0.0)
+        assert np.all(rate == 1.0 / gamma)
+        if gamma == 1.0:
+            t = np.array([-7.5, 0.3, 42.0])
+            phi, rate = problems._phi_and_rate(gamma, t)
+            np.testing.assert_array_equal(phi, t)
+            assert rate == 1.0
 
     def test_regime_tags(self):
         assert problems.sine_gordon_regime(1.5) == "breather"
@@ -167,6 +206,18 @@ _BAD_INPUTS = [
 
 
 class TestBuilderInputs:
+    def test_unknown_scheme_rejected(self):
+        # the quartic wave shares the sine-Gordon periodic dispatch
+        for build in (problems.quartic_wave_system, problems.sine_gordon_system):
+            with pytest.raises(ValueError, match="unknown scheme 'fd3'"):
+                build(scheme="fd3")
+        for bc in ("dirichlet", "neumann"):
+            for scheme in ("fd4", "fd6", "fourier", "fd3"):
+                with pytest.raises(ValueError, match=f"the {bc} boundary supports the fd2 scheme only"):
+                    problems.sine_gordon_system(bc=bc, scheme=scheme, N=16)
+        with pytest.raises(ValueError, match="unknown boundary kind 'robin'"):
+            problems.sine_gordon_system(bc="robin", scheme="fourier")
+
     @pytest.mark.parametrize("name, domain, sizes, message", _BAD_INPUTS)
     def test_bad_input_rejected_at_entry(self, name, domain, sizes, message):
         # a reversed domain would give a negative dx and energy, and a NaN endpoint would fail in the numerics
