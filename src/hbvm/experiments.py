@@ -273,6 +273,8 @@ DRIFT_STUDY_HEADER = ["method", "time", "H_drift", "H_tilde_drift"]
 
 def run_drift(config: RunConfig, methods):
     """Drift series of several methods on one system; long-format rows."""
+    if not methods:
+        raise ConfigError("methods must name at least one method")
     system, y0, _ = build_run(config)
     rows = []
     for text in methods:
@@ -349,6 +351,8 @@ def run_work_precision(config: RunConfig, methods=None, final_time: float = 100.
     grid = dict(WPD_DEFAULT_GRID) if grid is None else dict(grid)
     if methods is not None:
         wanted = [m.strip().lower() for m in methods]
+        if not wanted:
+            raise ConfigError("methods must name at least one method")
         unknown = [m for m in wanted if m not in grid]
         if unknown:
             raise ConfigError(f"no stepsize grid for methods {unknown}; known: {sorted(grid)}")

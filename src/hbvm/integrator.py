@@ -205,16 +205,16 @@ def _iterate(target, start, y0, h, cfg: SolverConfig, mode: str, n: int):
         new = target(coeffs)
         update = new - coeffs
         coeffs = new
-        residual = float(np.max(np.abs(update))) * scale
-        diag = StepDiagnostics(iterations=iteration, residual=residual, mode=mode)
+        residual = float(np.abs(update).max()) * scale
         if residual <= cfg.tol:
-            return coeffs, diag
+            return coeffs, StepDiagnostics(iteration, residual, mode)
         if not math.isfinite(residual):
             row, column = divmod(int(np.argmax(~np.isfinite(update * scale))), update.shape[1])
             column += n if update.shape[1] == n else 0  # the separable solve's columns are p's derivatives
             field, node = divmod(column, n) if column < 2 * n else (column - 2 * n + 2, 0)
-            where = f"first in coefficient row {row}, field {('q', 'p', 'qt', 'pt')[field]}, node {node}"
-            raise SolverError(f"{mode} stage solve hit a non-finite residual at iteration {iteration}, {where}", diag)
+            state = (f"hit a non-finite residual at iteration {iteration}, "
+                     f"first in coefficient row {row}, field {('q', 'p', 'qt', 'pt')[field]}, node {node}")
+            break
         if iteration == 1:
             first = residual
         if residual < smallest:
@@ -223,16 +223,13 @@ def _iterate(target, start, y0, h, cfg: SolverConfig, mode: str, n: int):
             state = f"is diverging: residual {residual:.3e}"
             if residual <= min(first, 10.0 * smallest):
                 state = f"stalled at residual {residual:.3e} above tol {cfg.tol:.1e}"
-            raise SolverError(
-                f"{mode} stage solve {state} at iteration {iteration}, smallest {smallest:.3e} at iteration {best}; "
-                "reduce h or switch solver mode",
-                diag,
-            )
-    raise SolverError(
-        f"{mode} stage solve did not converge in {cfg.max_iter} iterations "
-        f"(residual {residual:.3e}); reduce h or switch solver mode",
-        diag,
-    )
+            state += (f" at iteration {iteration}, smallest {smallest:.3e} at iteration {best}; "
+                      "reduce h or switch solver mode")
+            break
+    else:
+        state = (f"did not converge in {cfg.max_iter} iterations (residual {residual:.3e}); "
+                 "reduce h or switch solver mode")
+    raise SolverError(f"{mode} stage solve {state}", StepDiagnostics(iteration, residual, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +244,9 @@ def _separable_solver(system, h, tab, cfg, mode):
     fixed-point map B pdot(Q) splits into F(c) - L(B Q0) - L(h^2 X^2 c) with
     F(c) = from_grid(B accel(to_grid(Q0) + h^2 W to_grid(c))): L and the
     grid maps act on the s coefficient rows, and only the pointwise accel
-    sees the k stage rows.
+    sees the k stage rows (in a buffer each solve owns).  The table products
+    use np.dot, not @: matmul does not send an inner dimension of 1 (s = 1)
+    to BLAS, so W @ c takes 4-7 us at n = 400-800, np.dot 1-2 us, same bits.
     """
     sep = system.separable
     nq = sep.nq
@@ -263,16 +262,21 @@ def _separable_solver(system, h, tab, cfg, mode):
         p0 = y0[nq : 2 * nq]
         t0 = y0[2 * nq] if system.augmented else 0.0
         times = t0 + tab.nodes * h
-        base = q0[None, :] + h * np.outer(tab.nodes, p0)
+        base = q0[None, :] + h * (tab.nodes[:, None] * p0)
         grid_base = to_grid(base)
-        lin_base = lin(tab.weighted_basis @ base)
+        lin_base = lin(np.dot(tab.weighted_basis, base))
+        stage_grid = np.empty(grid_base.shape)
 
         def forces(coeffs):
-            grid = grid_base + h * h * (tab.stage_weights @ to_grid(coeffs))
-            return from_grid(tab.weighted_basis @ sep.accel(grid, times)) - lin_base
+            grid = np.dot(tab.stage_weights, to_grid(coeffs), out=stage_grid)
+            grid *= h * h
+            grid += grid_base
+            out = from_grid(np.dot(tab.weighted_basis, sep.accel(grid, times)))
+            out -= lin_base
+            return out
 
         def target(coeffs):
-            return forces(coeffs) - lin(h * h * (xs2 @ coeffs))
+            return forces(coeffs) - lin(h * h * np.dot(xs2, coeffs))
 
         if mode == "blended":
 
@@ -284,9 +288,9 @@ def _separable_solver(system, h, tab, cfg, mode):
         y1[nq : 2 * nq] = p0 + h * coeffs[0]
         y1[:nq] = q0 + h * p0 + h * h * np.dot(tab.integration_matrix[0], coeffs)
         if system.augmented:
-            stage_q = base + h * h * (tab.stage_weights @ coeffs)
+            stage_q = base + h * h * np.dot(tab.stage_weights, coeffs)
             y1[2 * nq] = t0 + h
-            y1[2 * nq + 1] = y0[2 * nq + 1] + h * float(tab.weights @ sep.aug_rate(stage_q, times))
+            y1[2 * nq + 1] = y0[2 * nq + 1] + h * float(np.dot(tab.weights, sep.aug_rate(stage_q, times)))
         return coeffs, diag, y1
 
     return solve
@@ -313,13 +317,13 @@ def _generic_solver(system, h, tab, cfg, mode):
 
     def solve(y0, start):
         def target(coeffs):
-            return tab.weighted_basis @ system.rhs(y0 + h * (tab.node_integrals @ coeffs))
+            return np.dot(tab.weighted_basis, system.rhs(y0 + h * np.dot(tab.node_integrals, coeffs)))
 
         if mode == "blended":
             lin_y0 = form.linear_operator(y0)
 
             def target(coeffs):
-                forces = tab.weighted_basis @ form.nonlinear(y0 + h_node_integrals @ coeffs)
+                forces = np.dot(tab.weighted_basis, form.nonlinear(y0 + np.dot(h_node_integrals, coeffs)))
                 forces[0] -= lin_y0
                 return precondition(forces)
 
@@ -355,7 +359,7 @@ def _warm_start(blocks: np.ndarray) -> np.ndarray:
     """The stage solve's start from the last m <= 4 steps' coefficients, flattened and stacked oldest first:
     the polynomial through them at the next step, sum_j (-1)^(j+1) C(m, j) c_n+1-j in one product.  That is
     zero for m = 0, then c_n, 2 c_n - c_n-1, the quadratic and the cubic 4 c_n - 6 c_n-1 + 4 c_n-2 - c_n-3."""
-    return _WARM_WEIGHTS[len(blocks)] @ blocks
+    return np.dot(_WARM_WEIGHTS[len(blocks)], blocks)
 
 
 class Stepper:
@@ -416,13 +420,13 @@ def step(system: SemiDiscreteSystem, y0, h: float, method: HBVMMethod, cfg: Solv
     """One HBVM(k,s) step from y0 with stepsize h -> (y1, StepDiagnostics).
 
     Reuses the Stepper of the previous call in the same thread when system
-    is the same object and h, method and cfg compare equal, and builds a new
-    one otherwise.  So in blended mode a call from the state the previous
-    call returned warm-starts its stage solve (see Stepper), as integrate's
-    steps do.
+    is the same object and h, method and cfg are identical or equal (tuple
+    equality skips the dataclass __eq__ of identical items); otherwise it
+    builds a new one.  So in blended mode a call from the state the previous
+    call returned warm-starts its solve (see Stepper), as integrate's steps do.
     """
     last = getattr(_last_stepper, "stepper", None)
-    if last is None or not (last.system is system and last.h == h and last.method == method and last.cfg == cfg):
+    if last is None or not (last.system is system and (last.h, last.method, last.cfg) == (h, method, cfg)):
         last = _last_stepper.stepper = Stepper(system, h, method, cfg)
     return last(y0)
 

@@ -97,7 +97,9 @@ class SeparableForm:
     of (I + shift (x) L) c = r on s coefficient rows for an s x s shift (h^2
     X^2), leaving r untouched (shifted_solver, or a band LU for Dirichlet
     and Neumann).  aug_rate(q, t) gives ptdot at rows of q and their times:
-    it reads positions only, so a solver needs no stage momenta.
+    it reads positions only, so a solver needs no stage momenta.  accel may
+    overwrite its grid argument but keeps no reference to it (the solver
+    reuses the buffer); from_grid returns an array the solver may overwrite.
     """
 
     nq: int
@@ -127,6 +129,7 @@ class SemilinearForm:
     pointwise remainder g.  make_preconditioner(shift) returns an exact
     solver of (I + shift (x) L) c = r on s rows for an s x s shift (h X),
     leaving r untouched (for NLS, shifted_solver on the FFT modes).
+    nonlinear may overwrite its argument but keeps no reference to it.
     """
 
     nonlinear: Callable[[np.ndarray], np.ndarray]

@@ -63,19 +63,17 @@ class FourierBasis:
         out = np.empty((xs.size, self.dim))
         out[:, 0] = np.sqrt(1.0 / length)
         amp = np.sqrt(2.0 / length)
-        for k in range(1, self.n_modes + 1):
-            phase = 2.0 * np.pi * k * (xs - self.a) / length
-            out[:, 2 * k - 1] = amp * np.cos(phase)
-            out[:, 2 * k] = amp * np.sin(phase)
+        phase = 2.0 * np.pi * np.arange(1, self.n_modes + 1) * (xs - self.a)[:, None] / length
+        out[:, 1::2] = amp * np.cos(phase)
+        out[:, 2::2] = amp * np.sin(phase)
         return out
 
     def stiffness_diagonal(self) -> np.ndarray:
         """Diagonal entries 0, w_1^2, w_1^2, ..., w_N^2 with w_k = 2 pi k / L."""
         diag = np.empty(self.dim)
         diag[0] = 0.0
-        for k in range(1, self.n_modes + 1):
-            w = 2.0 * np.pi * k / self.length
-            diag[2 * k - 1] = diag[2 * k] = w * w
+        w = 2.0 * np.pi * np.arange(1, self.n_modes + 1) / self.length
+        diag[1::2] = diag[2::2] = w * w
         return diag
 
 

@@ -126,11 +126,11 @@ class TestRunSolve:
 
 
 class TestRunDrift:
-    def test_empty_methods_header_only(self, tmp_path):
-        out = str(tmp_path / "d.csv")
-        rows = run_drift(RunConfig(**TINY, out=out), [])
-        assert rows == []
-        assert (tmp_path / "d.csv").read_text() == "method,time,H_drift,H_tilde_drift\n"
+    def test_empty_methods_rejected(self, tmp_path):
+        out = tmp_path / "d.csv"
+        with pytest.raises(ConfigError, match="at least one method"):
+            run_drift(RunConfig(**TINY, out=str(out)), [])
+        assert not out.exists()
 
     def test_multi_method_rows(self, tmp_path):
         cfg = RunConfig(**TINY)
@@ -175,6 +175,12 @@ class TestRunWorkPrecision:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
             run_work_precision(RunConfig(**TINY), methods=["hbvm(2,1)"])
+
+    def test_empty_methods_rejected(self, tmp_path):
+        out = tmp_path / "w"
+        with pytest.raises(ConfigError, match="at least one method"):
+            run_work_precision(RunConfig(**TINY, out=str(out)), methods=[], final_time=2.0)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "config", [dict(problem="nls", N=16), dict(bc="dirichlet", N=40), dict(problem="quartic-wave", N=16)]
@@ -316,6 +322,13 @@ class TestCLI:
         assert main(["convergence", "--levels", levels, "-N", "40", "--final-time", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "level" in err
+
+    @pytest.mark.parametrize("command", ["wpd", "drift"])
+    def test_empty_method_list_is_a_config_error(self, command, capsys):
+        # "," splits into no method at all, which used to run nothing and exit 0
+        assert main([command, "--methods", ",", "-N", "40", "--steps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "at least one method" in err
 
     @pytest.mark.parametrize("command", ["solve", "drift"])
     def test_blended_on_nls_runs(self, command, tmp_path):

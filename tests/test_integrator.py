@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from hbvm.integrator import (
     _warm_start,
 )
 from hbvm.legendre import gauss_rule
+from hbvm.systems import SeparableForm, separable_system, shifted_solver
 
 
 class TestStepBasics:
@@ -450,6 +452,94 @@ class TestStepper:
         for n, (target, h, method, cfg) in enumerate(calls, start=1):
             step(target, y0, h, method, cfg)
             assert len(builds) == n
+
+
+def _oscillator_split(accel):
+    """q'' = -5 q with the stiff part L = 4 in the linear operator and -q in accel."""
+    form = SeparableForm(nq=1, accel=accel, linear_operator=lambda q: 4.0 * q,
+                         make_preconditioner=lambda shift: shifted_solver(shift, np.array([4.0])))
+    return separable_system(form, 1.0, lambda y: 0.5 * y[1] ** 2 + 2.5 * y[0] ** 2, {}), np.array([1.0, 0.5])
+
+
+def _in_place(function):
+    """function, but writing its result into its argument and returning that."""
+
+    def in_place(values, *args):
+        values[...] = function(values, *args)
+        return values
+
+    return in_place
+
+
+_CONTRACT_CASES = {
+    "oscillator": (lambda: _oscillator_split(lambda g, t: -1.0 * g), 0.3),
+    "periodic-fd6": (lambda: problems.sine_gordon_system(gamma=1.0, scheme="fd6", N=64), 0.1),
+    "fourier": (lambda: problems.sine_gordon_system(gamma=1.0, scheme="fourier", N=16, m=40), 0.1),
+    "dirichlet-fd2": (lambda: problems.sine_gordon_system(gamma=0.9, bc="dirichlet", N=64), 0.1),
+}
+
+
+class TestBufferContract:
+    """accel and nonlinear may overwrite their argument: the solve hands them a buffer it owns."""
+
+    @pytest.mark.parametrize("mode", ["blended", "fixed-point"])
+    @pytest.mark.parametrize("name", sorted(_CONTRACT_CASES))
+    def test_in_place_accel_gives_the_same_steps(self, name, mode):
+        build, h = _CONTRACT_CASES[name]
+        system, y0 = build()
+        sep = system.separable
+        in_place = replace(system, separable=replace(sep, accel=_in_place(sep.accel)))
+        self._assert_same_steps(system, in_place, y0, h, HBVMMethod(6, 2), mode)
+
+    def test_in_place_nonlinear_gives_the_same_steps(self):
+        system, y0 = problems.nls_system(N=16)
+        form = system.semilinear
+        in_place = replace(system, semilinear=replace(form, nonlinear=_in_place(form.nonlinear)))
+        self._assert_same_steps(system, in_place, y0, 0.002, HBVMMethod(6, 2), "blended")
+
+    @staticmethod
+    def _assert_same_steps(system, in_place, y0, h, method, mode):
+        plain = Stepper(system, h, method, SolverConfig(mode=mode))
+        changed = Stepper(in_place, h, method, SolverConfig(mode=mode))
+        np.testing.assert_array_equal(changed.coefficients(y0), plain.coefficients(y0))
+        y, y_changed = y0, y0
+        for _ in range(6):  # past the four steps of the warm start
+            (y, diag), (y_changed, diag_changed) = plain(y), changed(y_changed)
+            np.testing.assert_array_equal(y_changed, y)
+            assert (diag_changed.iterations, diag_changed.residual) == (diag.iterations, diag.residual)
+
+    def test_threads_sharing_a_fixed_point_stepper_keep_their_own_stages(self):
+        # every accel call of one thread waits for one of the other, so a stage buffer shared between
+        # the solves would hand each thread the other's stage positions; -y0 takes the same iterations
+        meet = threading.Barrier(2, timeout=10.0)
+
+        def accel(g, t):
+            meet.wait()
+            g *= -1.0
+            return g
+
+        system, y0 = _oscillator_split(accel)
+        stepper = Stepper(system, 0.3, HBVMMethod(6, 2), SolverConfig(mode="fixed-point"))
+        results, errors = {}, []
+
+        def run(sign):
+            try:
+                results[sign] = stepper(sign * y0)
+            except Exception as err:  # reported below: a thread's exception is otherwise lost
+                errors.append(err)
+                meet.abort()
+
+        threads = [threading.Thread(target=run, args=(sign,)) for sign in (1.0, -1.0)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads) and errors == []
+        alone, _ = _oscillator_split(lambda g, t: -1.0 * g)
+        for sign in (1.0, -1.0):
+            expected, diag = Stepper(alone, 0.3, HBVMMethod(6, 2), SolverConfig(mode="fixed-point"))(sign * y0)
+            np.testing.assert_array_equal(results[sign][0], expected)
+            assert results[sign][1].iterations == diag.iterations
 
 
 def _cold_chain(system, y0, h, n_steps, method):

@@ -56,6 +56,26 @@ class TestFourierBasis:
             assert d[2 * k - 1] == pytest.approx(w * w)
             assert d[2 * k] == pytest.approx(w * w)
 
+    @pytest.mark.parametrize("domain", [DOMAIN, (0.0, 2.0 * np.pi), (-1.3, 7.77)])
+    @pytest.mark.parametrize("N", [1, 16, 100, 400])
+    def test_matches_the_per_mode_closed_forms(self, N, domain):
+        # mode by mode, in the same order of operations, so the tables are bitwise equal
+        basis = FourierBasis(n_modes=N, a=domain[0], b=domain[1])
+        length = domain[1] - domain[0]
+        xs = np.concatenate([basis.points(2 * N + 1), np.linspace(domain[0] - 3.0, domain[1] + 3.0, 37)])
+        values = np.empty((xs.size, basis.dim))
+        values[:, 0] = np.sqrt(1.0 / length)
+        diag = np.zeros(basis.dim)
+        for k in range(1, N + 1):
+            phase = 2.0 * np.pi * k * (xs - domain[0]) / length
+            values[:, 2 * k - 1] = np.sqrt(2.0 / length) * np.cos(phase)
+            values[:, 2 * k] = np.sqrt(2.0 / length) * np.sin(phase)
+            w = 2.0 * np.pi * k / length
+            diag[2 * k - 1] = diag[2 * k] = w * w
+        np.testing.assert_array_equal(basis.evaluate_matrix(xs), values)
+        np.testing.assert_array_equal(basis.evaluate_matrix(xs[5]), values[5:6])
+        np.testing.assert_array_equal(basis.stiffness_diagonal(), diag)
+
 
 def exact_grid_basis(basis, m):
     """Basis values on the m-point grid with the integer phase k*i mod m, exact for any N."""
