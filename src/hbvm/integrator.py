@@ -198,7 +198,7 @@ def _iterate(target, start, y0, h, cfg: SolverConfig, mode: str, n: int):
     A non-finite update stops it at once, naming the row, field (q, p, qt, pt
     with n nodes each; u, v of NLS in q, p) and node of its first NaN or inf.
     """
-    scale = h * max(1.0, h) / (1.0 + float(np.max(np.abs(y0))))
+    scale = h * max(1.0, h) / (1.0 + float(np.abs(y0).max()))
     coeffs = start
     smallest, best = np.inf, 0
     for iteration in range(1, cfg.max_iter + 1):
@@ -347,7 +347,7 @@ def _checked_state(system: SemiDiscreteSystem, y0) -> np.ndarray:
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (system.dim,):
         raise ValueError(f"expected state of length {system.dim}, got {y0.shape}")
-    if not np.all(np.isfinite(y0)):
+    if not np.isfinite(y0).all():
         raise ValueError("state contains non-finite values")
     return y0
 
@@ -401,7 +401,7 @@ class Stepper:
     def __call__(self, y0):
         """One step from y0 -> (y1, StepDiagnostics)."""
         y0 = _checked_state(self.system, y0)
-        if not (self._length and np.array_equal(y0, self._last)):
+        if not (self._length and (y0 == self._last).all()):  # same shape, finite: no NaN to compare
             self._length = 0
         coeffs, diag, y1 = self._solve(y0, _warm_start(self._chain[4 - self._length :]).reshape(self._shape))
         self._chain[:-1], self._chain[-1] = self._chain[1:], coeffs.ravel()

@@ -197,43 +197,48 @@ def build_nls_periodic(N: int, domain, kappa: float) -> SemiDiscreteSystem:
     psi = u + i v, applies -J to the gradients of the two energy terms:
     g = 2 i kappa |psi|^2 psi and L = i T / dx^2, which the FFT diagonalizes
     with eigenvalues i t_j / dx^2 (t_j the symbol of T).
+    g and L y write -J grad = (-grad_v; grad_u) / dx from the u and v slices
+    into one fresh row buffer, dividing by -dx for the negation (x / -dx is
+    exactly -(x / dx)); one stencil call takes the rows as (..., 2, N) fields.
     """
     a, b = check_domain(domain)
     check_count("N", N, 1)  # before dividing by it; StencilOperator checks the stencil's reach
     dx = (b - a) / N
     x = a + dx * np.arange(N)
     op = StencilOperator(N, "periodic", 2, dx)
+    quartic = 2.0 * kappa * dx  # the gradient of the energy (kappa dx / 2) sum |psi|^4 is quartic |psi|^2 (u; v)
+    minus_j = np.repeat([-dx, dx], N)  # the divisors of -J grad = (-grad_v; grad_u) / dx, row by row
 
-    def fields(y):
-        """(u; v) as a (..., 2, N) view, so one stencil call covers both fields."""
-        y = np.asarray(y, dtype=float)
-        return y.reshape(y.shape[:-1] + (2, N))
+    def density(y):
+        """|psi|^2 = u^2 + v^2 at the nodes of rows y."""
+        squares = y * y
+        return squares[..., :N] + squares[..., N:]
+
+    def stencil(y):
+        """(T u; T v) of rows y, a fresh array."""
+        return op.apply(y.reshape(y.shape[:-1] + (2, N))).reshape(y.shape)
 
     def hamiltonian(y):
-        uv = fields(y)
-        u, v = uv
-        dens = u * u + v * v
-        quad = uv * op.apply(uv)
-        terms = (quad[0] + quad[1]) / (2.0 * dx) - 0.5 * kappa * dx * dens * dens
-        return energy_sum(terms)
-
-    def quadratic_gradient(uv):
-        """Gradient of the stencil energy [u.Tu + v.Tv]/(2 dx)."""
-        return op.apply(uv) / dx
-
-    def quartic_gradient(uv):
-        """Gradient of the energy (kappa dx / 2) sum (u^2+v^2)^2 (with the opposite sign in H)."""
-        u, v = uv[..., 0, :], uv[..., 1, :]
-        dens = u * u + v * v
-        return 2.0 * kappa * dx * dens[..., None, :] * uv
+        y = np.asarray(y, dtype=float)
+        quad, dens = stencil(y) * y, density(y)
+        return energy_sum((quad[:N] + quad[N:]) / (2.0 * dx) - 0.5 * kappa * dx * dens * dens)
 
     def gradient(y):
-        uv = fields(y)
-        return (quadratic_gradient(uv) - quartic_gradient(uv)).reshape(np.shape(y))
+        y = np.asarray(y, dtype=float)
+        factor = quartic * density(y)
+        return stencil(y) / dx - np.concatenate((factor, factor), axis=-1) * y
 
-    def minus_skew(grad):
-        """-J grad = (-grad_v; grad_u) / dx, flattened to states."""
-        return np.concatenate([-grad[..., 1, :], grad[..., 0, :]], axis=-1) / dx
+    def nonlinear(y):
+        factor, out = quartic * density(y), np.empty(y.shape)
+        np.multiply(factor, y[..., N:], out=out[..., :N])
+        np.multiply(factor, y[..., :N], out=out[..., N:])
+        return np.divide(out, minus_j, out=out)
+
+    def linear_operator(y):
+        grad, out = stencil(y) / dx, np.empty(y.shape)
+        np.divide(grad[..., N:], -dx, out=out[..., :N])
+        np.divide(grad[..., :N], dx, out=out[..., N:])
+        return out
 
     def to_modes(rows):
         psi = np.empty((len(rows), N), dtype=complex)
@@ -247,11 +252,7 @@ def build_nls_periodic(N: int, domain, kappa: float) -> SemiDiscreteSystem:
     def make_preconditioner(shift):
         return shifted_solver(shift, 1j * op.symbol() / dx**2, to_modes, from_modes)
 
-    form = SemilinearForm(
-        nonlinear=lambda y: minus_skew(quartic_gradient(fields(y))),
-        linear_operator=lambda y: minus_skew(quadratic_gradient(fields(y))),
-        make_preconditioner=make_preconditioner,
-    )
+    form = SemilinearForm(nonlinear=nonlinear, linear_operator=linear_operator, make_preconditioner=make_preconditioner)
     return SemiDiscreteSystem(
         skew=SkewStructure(n=N, scale=1.0 / dx),
         hamiltonian=hamiltonian,

@@ -203,7 +203,8 @@ def shifted_solver(shift, eigenvalues, to_modes=None, from_modes=None) -> Callab
 
     The modes lie on the last axis (maps ``None``: L is diagonal in the rows).  Their s x s blocks
     I + eigenvalue * shift, real or complex, are inverted once, together, by LAPACK (LU with partial
-    pivoting), so a solve is s multiply-adds of inverse columns and mode rows: one multiply at s = 1.
+    pivoting), so a solve is s multiply-adds of inverse columns and mode rows, at s = 1 one multiply in
+    place on the array to_modes returns, which must be fresh.
     """
     s = len(shift)
     inverse = np.linalg.inv(np.eye(s) + np.multiply.outer(eigenvalues, shift))
@@ -211,6 +212,8 @@ def shifted_solver(shift, eigenvalues, to_modes=None, from_modes=None) -> Callab
 
     def solve(rows: np.ndarray) -> np.ndarray:
         z = rows if to_modes is None else to_modes(rows)
+        if s == 1 and to_modes is not None:
+            return from_modes(np.multiply(columns[0], z, out=z))
         out = columns[0] * z[0]
         for j in range(1, s):
             out += columns[j] * z[j]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -49,13 +51,28 @@ def rolled_circulant(weights, q):
 @pytest.mark.parametrize("order", [2, 4, 6])
 @pytest.mark.parametrize("shape", [(), (5,), (5, 2)], ids=["vector", "stages", "nls-fields"])
 def test_circulant_bitwise_equals_rolled(order, shape, rng):
-    # n = order + 1 is the smallest grid build_periodic allows
+    # n = order + 1 is the smallest grid build_periodic allows; constant rows, +0 and -0 among them, make
+    # every difference a zero, and the kernel's sum starts from its first term, not from zeros
     for n in (order + 1, 17):
-        q = rng.standard_normal(shape + (n,))
-        got = kernels.circulant_apply(WEIGHTS[order], q)
-        want = rolled_circulant(WEIGHTS[order], q)
-        assert np.array_equal(got, want)
-        assert got.tobytes() == want.tobytes()  # signed zeros too
+        size = shape + (n,)
+        for q in (rng.standard_normal(size), np.full(size, rng.standard_normal()), np.zeros(size), np.full(size, -0.0)):
+            got = kernels.circulant_apply(WEIGHTS[order], q)
+            want = rolled_circulant(WEIGHTS[order], q)
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_circulant_on_mixed_signed_zeros(order):
+    # every row of +0 and -0 on 7 nodes: the values equal the rolled form's, and a sign differs only
+    # where the kernel docstring says, at a -0 node whose left neighbour is +0
+    rows = np.array(list(itertools.product([0.0, -0.0], repeat=7)))
+    got = kernels.circulant_apply(WEIGHTS[order], rows)
+    want = rolled_circulant(WEIGHTS[order], rows)
+    assert np.array_equal(got, want)
+    assert not np.signbit(want).any()
+    flipped = np.signbit(got)
+    assert np.all(np.signbit(rows)[flipped]) and not np.signbit(np.roll(rows, 1, axis=1))[flipped].any()
 
 
 @pytest.mark.parametrize("corner", [1.0, 0.0])

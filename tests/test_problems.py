@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import reference_solve
 from hbvm import problems
 from hbvm.integrator import HBVMMethod, SolverConfig, integrate
-from hbvm.wave_fd import BoundaryData, build_dirichlet, build_neumann, build_periodic
+from hbvm.systems import energy_sum
+from hbvm.wave_fd import BoundaryData, StencilOperator, build_dirichlet, build_neumann, build_periodic
 from hbvm.wave_fourier import build_fourier
 
 
@@ -162,6 +164,35 @@ class TestNLS:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             problems.build_nls_periodic(2, (0.0, 1.0), 1.0)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(N=st.integers(3, 64), kappa=st.floats(-2.0, 2.0), k=st.integers(0, 6), data=st.data())
+    def test_form_is_bitwise_the_fieldwise_formulas(self, N, kappa, k, data):
+        # the oracle computes the form field by field: the stencil on (..., 2, N) fields over dx, the
+        # quartic gradient 2 kappa dx |psi|^2 (u; v), and -J as the concatenation (-g_v; g_u) over dx
+        system = problems.build_nls_periodic(N, (0.0, 2.0 * np.pi), kappa)
+        shape = (k, 2 * N) if k else (2 * N,)
+        y = data.draw(arrays(np.float64, shape, elements=st.floats(-4.0, 4.0)))
+        dx = system.descriptor["dx"]
+        uv = y.reshape(shape[:-1] + (2, N))
+        dens = uv[..., 0, :] * uv[..., 0, :] + uv[..., 1, :] * uv[..., 1, :]
+        quartic = 2.0 * kappa * dx * dens[..., None, :] * uv
+        stencil = StencilOperator(N, "periodic", 2, dx).apply(uv)
+        quadratic = stencil / dx
+
+        def minus_skew(grad):
+            return np.concatenate([-grad[..., 1, :], grad[..., 0, :]], axis=-1) / dx
+
+        gradient = (quadratic - quartic).reshape(shape)
+        form = system.semilinear
+        for got, want in [(form.nonlinear(y.copy()), minus_skew(quartic)), (form.linear_operator(y), minus_skew(quadratic)),
+                          (system.gradient(y), gradient), (system.rhs(y), system.skew.apply(gradient))]:
+            assert got.shape == shape
+            assert got.tobytes() == want.tobytes()
+        if not k:
+            quad = uv * stencil
+            terms = (quad[0] + quad[1]) / (2.0 * dx) - 0.5 * kappa * dx * dens * dens
+            assert system.hamiltonian(y) == energy_sum(terms)
 
     def test_blended_step_meets_the_plane_wave_at_h_dx(self):
         # N=256 at h = dx, about 50 times the fixed point's largest stepsize:
