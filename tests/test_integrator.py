@@ -18,7 +18,7 @@ from hbvm.integrator import (
     Stepper,
     rk_tableau,
     step,
-    _warm_start,
+    _warm_starts,
 )
 from hbvm.legendre import gauss_rule
 from hbvm.systems import SeparableForm, separable_system, shifted_solver
@@ -551,9 +551,10 @@ def _cold_chain(system, y0, h, n_steps, method):
 
 
 _WARM_CASES = {
-    # (system and y0, h, method, it/step bound); cold: 6.05, 5.25, 5.00 and 6.00 it/step;
-    # the quadratic start of three steps took 5.08, 4.17, 4.07 and 3.04, the cubic takes
-    # 5.07, 4.13, 3.35 and 2.07
+    # (system and y0, h, method, it/step bound); cold: 6.05, 5.25, 5.00, 6.00 and 11.0 it/step; the quadratic
+    # start of three steps took 5.08, 4.17, 4.07, 3.04 and 7.05, the cubic of four 5.07, 4.13, 3.35, 2.07 and
+    # 6.08 (912 iterations); the better of the cubic and the quartic fit of seven takes 5.06, 4.13, 3.33, 1.11 and
+    # 5.13 (769)
     "periodic-fd6-5-1": (
         lambda: problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd6", N=400), 0.1, HBVMMethod(5, 1), 5.1
     ),
@@ -563,18 +564,20 @@ _WARM_CASES = {
     "fourier-5-1": (
         lambda: problems.sine_gordon_system(gamma=1.0, scheme="fourier", N=400, m=800), 0.05, HBVMMethod(5, 1), 3.4
     ),
-    "nls-fd2-5-1": (lambda: problems.nls_system(N=64), 0.002, HBVMMethod(5, 1), 2.1),
+    "nls-fd2-5-1": (lambda: problems.nls_system(N=64), 0.002, HBVMMethod(5, 1), 1.15),
+    "nls-fd2-256-dx": (lambda: problems.nls_system(N=256), 2.0 * np.pi / 256, HBVMMethod(5, 1), 5.2),
 }
 
 
 class TestWarmStart:
     @pytest.mark.parametrize("name", sorted(_WARM_CASES))
     def test_blended_chain_saves_iterations_and_keeps_the_solution(self, name):
-        # blended steps from the last output start from the cubic
-        # extrapolation of the last four coefficient blocks: one or two
-        # iterations fewer on the wave systems, two thirds of them on NLS, the
-        # same states to the accepted tolerance; Dirichlet solves on the
-        # banded factor, NLS on the complex blocks of I + h X (x) L
+        # blended steps from the last output start from the cubic through the
+        # last four coefficient blocks or the quartic fit of the last seven:
+        # one or two iterations fewer on the wave systems, nearly five of six
+        # on NLS at small h, the same states to the accepted tolerance;
+        # Dirichlet solves on the banded factor, NLS on the complex blocks of
+        # I + h X (x) L
         build, h, method, bound = _WARM_CASES[name]
         system, y0 = build()
         rec = integrate(system, y0, h, 150, method, record_stride=0)
@@ -585,20 +588,61 @@ class TestWarmStart:
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(
-        m=st.integers(0, 4),
+        m=st.integers(0, 7),
         s=st.integers(1, 3),
         width=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
         origin=st.integers(-50, 50),
     )
     def test_start_extrapolates_the_polynomial_through_the_last_blocks(self, m, s, width, seed, origin):
-        # blocks c_n = sum_d a_d n^d of degree m - 1 in the step index n: the
-        # start from the last m of them is the next block (zero from none)
-        a = np.random.default_rng(seed).standard_normal((m, s, width))
+        # blocks c_n = sum_d a_d n^d in the step index n: from the last m of
+        # them, the cubic (row 0) is the next block for degree <= min(m, 4) - 1
+        # and the fit (row 1) for degree <= min(m, 5) - 1, zero from none; the
+        # fit's weights are the least-squares ones, row 0 of the pseudo-inverse
+        a = np.random.default_rng(seed).standard_normal((5, s, width))
         n = origin + np.arange(m + 1, dtype=float)
-        blocks = np.einsum("nd,dsw->nsw", n[:, None] ** np.arange(m), a)  # c at origin .. origin + m
-        start = _warm_start(blocks[:m].reshape(m, s * width)).reshape(s, width)
-        assert np.max(np.abs(start - blocks[m])) <= 1e-12 * max(1.0, np.max(np.abs(blocks)))
+        for row, degree in ((0, min(m, 4) - 1), (1, min(m, 5) - 1)):
+            blocks = np.einsum("nd,dsw->nsw", n[:, None] ** np.arange(degree + 1), a[: degree + 1])
+            start = _warm_starts(blocks[:m].reshape(m, s * width))[row].reshape(s, width)
+            assert np.max(np.abs(start - blocks[m]), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(blocks)))
+        fit = np.linalg.pinv(np.vander(np.arange(-m, 0.0), max(min(m, 5), 1), increasing=True))[0]
+        np.testing.assert_allclose(_warm_starts(np.eye(m))[1], fit, rtol=0.0, atol=1e-11)
+
+    def test_start_follows_the_better_prediction_of_the_step_before(self):
+        # the solve starts from the fit only on a full chain and after the fit
+        # came strictly closer to the step before's coefficients than the
+        # cubic; a fresh chain and one restarted by a nudged state start from
+        # zero, then from the cubic, also where the fit was leading (step 13)
+        system, y0 = problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd6", N=64)
+        stepper = Stepper(system, 0.1, HBVMMethod(5, 1))
+        solve, seen = stepper._solve, []
+
+        def recording(y, start):
+            out = solve(y, start)
+            seen.append((start.ravel().copy(), out[0].ravel().copy()))
+            return out
+
+        stepper._solve = recording
+        y = y0
+        for n in range(40):
+            if n == 13:
+                y = y.copy()
+                y[5] = np.nextafter(y[5], np.inf)
+            y, _ = stepper(y)
+        chain, fit, used = [], False, []
+        for n, (start, coeffs) in enumerate(seen):
+            if n == 13:
+                assert fit
+                chain, fit = [], False
+            starts = _warm_starts(np.reshape(chain[-7:], (-1, coeffs.size)))
+            np.testing.assert_array_equal(start, starts[int(fit)])
+            used.append(fit)
+            cubic_error, fit_error = np.abs(starts - coeffs).max(axis=1)
+            fit = len(chain) >= 6 and fit_error < cubic_error
+            chain.append(coeffs)
+        assert not np.any(seen[0][0]) and not np.any(seen[13][0])
+        assert not any(used[:7] + used[13:20])
+        assert any(used[7:13]) and not all(used[7:13]) and any(used[20:]) and not all(used[20:])
 
     def test_other_state_starts_cold(self):
         # only the state the Stepper last returned continues its chain; any
