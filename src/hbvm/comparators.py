@@ -4,9 +4,9 @@ The order-4 scheme is the triple jump, the order-6 scheme the standard
 nine-stage symmetric composition; both are palindromic with coefficients
 summing to one, so each composed step is a sequence of plain Stormer-Verlet
 substeps with scaled stepsizes, run by one leapfrog loop.  Trajectories go
-through the HBVM driver, integrator.drive: the same energy bookkeeping, the
-same rejection of bad input before any force evaluation, and StepFailure
-with the partial record when a run diverges.
+through the HBVM driver, integrator.drive: the same batched energy bookkeeping
+(up to 32 states per hamiltonian call), the same rejection of bad input before
+any force evaluation, and StepFailure with the partial record when a run diverges.
 """
 
 from __future__ import annotations

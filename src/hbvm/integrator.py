@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 MODES = ("fixed-point", "blended")
+_ENERGY_ROWS, _ENERGY_NUMBERS = 32, 3 * 2**14  # drive's energy stacks; more numbers spill fd2 N=3200 out of L2
 
 
 class SolverError(RuntimeError):
@@ -469,13 +470,15 @@ def drive(
     observer: Optional[Callable[[int, float, np.ndarray], None]] = None,
 ) -> TrajectoryRecord:
     """The trajectory loop of every method: ``advance(y) -> (y1, StepDiagnostics)``
-    n_steps times, with one energy evaluation per step.
+    n_steps times, evaluating each state's energy once, up to 32 states per hamiltonian call.
 
     States are stored every ``record_stride`` steps (0 stores endpoints only);
     ``observer(step_index, t, y)`` is invoked at every step including step 0.
-    A malformed or non-finite state or stepsize, and a step count or stride
-    that is not a nonnegative integer, are rejected before the first step.  A SolverError from ``advance`` becomes a
-    StepFailure naming the step and carrying the partial trajectory.
+    y0's energy is evaluated at entry as a one-row stack; later states wait in a stack evaluated when full, at
+    the last step and before a failure's partial record, inside the step that fills it and before its observer call.
+    A malformed or non-finite state or stepsize, a step count or stride that is not a nonnegative integer,
+    and a hamiltonian that does not map y0 as a (1, dim) stack to shape (1,) are rejected before the first
+    step.  A SolverError from ``advance`` becomes a StepFailure naming the step and carrying the partial trajectory.
     """
     _check_stepsize(h)
     y0 = _checked_state(system, y0)
@@ -484,11 +487,24 @@ def drive(
 
     times = h * np.arange(n_steps + 1)
     hams = np.empty(n_steps + 1)
-    pts = np.empty(n_steps + 1) if system.augmented else None
-    iters = np.zeros(n_steps, dtype=int)
-    resid = np.zeros(n_steps)
-    kept_states = [y0.copy()]
-    kept_times = [0.0]
+    pts = np.empty(n_steps + 1)  # the last slot of each state: pt on augmented systems
+    iters, resid = np.zeros(n_steps, dtype=int), np.zeros(n_steps)
+    kept_states, kept_times = [y0.copy()], [0.0]
+    pending = np.empty((min(_ENERGY_ROWS, max(1, _ENERGY_NUMBERS // system.dim)), system.dim))
+    done = -1  # the last step whose energy is in hams; pending holds the states of the steps after it
+
+    def flush(n: int) -> None:
+        """hams and pts of steps done + 1 through n, from pending, in one hamiltonian call."""
+        nonlocal done
+        rows = pending[: n - done]
+        try:
+            values = system.hamiltonian(rows)
+        except IndexError as err:  # y[i] of a one-state energy reads past a short stack
+            raise ValueError(f"hamiltonian must map a {rows.shape} stack to shape ({len(rows)},): {err}") from err
+        if (shape := np.shape(values)) != (len(rows),):
+            raise ValueError(f"hamiltonian must map a {rows.shape} stack to shape ({len(rows)},), got {shape}")
+        hams[done + 1 : n + 1], pts[done + 1 : n + 1] = values, rows[:, -1]
+        done = n
 
     def record(n: int) -> TrajectoryRecord:
         """The trajectory through step n."""
@@ -497,17 +513,15 @@ def drive(
             states=np.array(kept_states),
             record_times=np.array(kept_times),
             hamiltonian=hams[: n + 1],
-            physical_hamiltonian=hams[: n + 1] - pts[: n + 1] if pts is not None else None,
+            physical_hamiltonian=hams[: n + 1] - pts[: n + 1] if system.augmented else None,
             iterations=iters[:n],
             residuals=resid[:n],
             mode=mode,
             wall_time=time.perf_counter() - start,
         )
 
-    y = y0.copy()
-    hams[0] = system.hamiltonian(y)
-    if pts is not None:
-        pts[0] = y[-1]
+    pending[0] = y = y0.copy()
+    flush(0)
     if observer is not None:
         observer(0, 0.0, y)
 
@@ -517,13 +531,14 @@ def drive(
             y, diag = advance(y)
         except SolverError as err:
             failure = StepFailure(f"step {n}: {err}", n, err.diagnostics)
+            if n - 1 > done:
+                flush(n - 1)
             failure.partial = record(n - 1)
             raise failure from err
-        hams[n] = system.hamiltonian(y)
-        if pts is not None:
-            pts[n] = y[-1]
-        iters[n - 1] = diag.iterations
-        resid[n - 1] = diag.residual
+        pending[n - 1 - done] = y
+        if n - done == len(pending) or n == n_steps:
+            flush(n)
+        iters[n - 1], resid[n - 1] = diag.iterations, diag.residual
         if observer is not None:
             observer(n, times[n], y)
         if (record_stride and n % record_stride == 0) or n == n_steps:

@@ -221,7 +221,7 @@ def build_nls_periodic(N: int, domain, kappa: float) -> SemiDiscreteSystem:
     def hamiltonian(y):
         y = np.asarray(y, dtype=float)
         quad, dens = stencil(y) * y, density(y)
-        return energy_sum((quad[:N] + quad[N:]) / (2.0 * dx) - 0.5 * kappa * dx * dens * dens)
+        return energy_sum((quad[..., :N] + quad[..., N:]) / (2.0 * dx) - 0.5 * kappa * dx * dens * dens)
 
     def gradient(y):
         y = np.asarray(y, dtype=float)
@@ -296,7 +296,7 @@ def harmonic_oscillator(omega: float = 1.0) -> SemiDiscreteSystem:
     """H = p^2/2 + omega^2 q^2 / 2."""
     w2 = omega * omega
     return _oscillator(
-        hamiltonian=lambda y: 0.5 * (y[1] ** 2 + w2 * y[0] ** 2),
+        hamiltonian=lambda y: 0.5 * (y[..., 1] ** 2 + w2 * y[..., 0] ** 2),
         accel=lambda stages, times: np.zeros_like(stages),
         linear=w2,
     )
@@ -305,7 +305,7 @@ def harmonic_oscillator(omega: float = 1.0) -> SemiDiscreteSystem:
 def quartic_oscillator() -> SemiDiscreteSystem:
     """H = p^2/2 + q^4/4; degree-4 polynomial energy."""
     return _oscillator(
-        hamiltonian=lambda y: 0.5 * y[1] ** 2 + 0.25 * y[0] ** 4,
+        hamiltonian=lambda y: 0.5 * y[..., 1] ** 2 + 0.25 * y[..., 0] ** 4,
         accel=lambda stages, times: -(stages**3),
     )
 
@@ -313,7 +313,7 @@ def quartic_oscillator() -> SemiDiscreteSystem:
 def pendulum() -> SemiDiscreteSystem:
     """H = p^2/2 + 1 - cos q; smooth non-polynomial test problem."""
     return _oscillator(
-        hamiltonian=lambda y: 0.5 * y[1] ** 2 + 1.0 - np.cos(y[0]),
+        hamiltonian=lambda y: 0.5 * y[..., 1] ** 2 + 1.0 - np.cos(y[..., 0]),
         accel=lambda stages, times: -np.sin(stages),
     )
 

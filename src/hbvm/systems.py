@@ -9,9 +9,10 @@ the energy flux through the boundary.
 The field callables act on the last axis: gradient, rhs and
 SkewStructure.apply take one state or a (rows, dim) stack of stage rows and
 return the same shape, so a solver evaluates all its stages in one call.
-hamiltonian and physical_hamiltonian take one state per call and sum its
-per-node terms once, through energy_sum; the physical energy of an augmented
-system is derived from the conserved one, H = Ht - pt.
+hamiltonian and physical_hamiltonian map one state to a float and a stack
+to one energy per row, bitwise the per-row calls, summing the per-node terms
+through energy_sum; the physical energy of an augmented system is derived
+from the conserved one, H = Ht - pt.
 
 Separable systems (second-order qdot = p, pdot = SeparableForm.pdot(q, t))
 state their force once, in a SeparableForm, split into a stiff linear part
@@ -42,14 +43,17 @@ __all__ = ["SkewStructure", "SeparableForm", "SemilinearForm", "SemiDiscreteSyst
 _WIDE_SUM = np.finfo(np.longdouble).nmant >= 63  # False where long double is a plain double (Windows, macOS arm64)
 
 
-def energy_sum(terms: np.ndarray) -> float:
-    """Sum of per-node energy terms in one C reduction, accumulated in long double's 64-bit mantissa.
+def energy_sum(terms: np.ndarray):
+    """Sums of per-node energy terms on the last axis (a float, or one per row of a stack) in one C reduction,
+    accumulated in long double's 64-bit mantissa.
 
     Its error, about 2^-64 log2(n) sum|t_i| (Higham, Accuracy and Stability, ch. 4), is below the
     rounding of the float64 terms, so the sum is exactly rounded or within an ulp of it.  Without a
-    wide long double (_WIDE_SUM, fixed at import) it is math.fsum, exactly rounded.
+    wide long double (_WIDE_SUM, fixed at import) it is math.fsum per row, exactly rounded.
     """
-    return float(np.add.reduce(terms, dtype=np.longdouble)) if _WIDE_SUM else math.fsum(terms.tolist())
+    sums = np.add.reduce(terms, axis=-1, dtype=np.longdouble) if _WIDE_SUM else np.array(
+        [math.fsum(row) for row in np.atleast_2d(terms).tolist()]).reshape(terms.shape[:-1])
+    return float(sums) if terms.ndim == 1 else sums.astype(float)
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,7 @@ class SemiDiscreteSystem:
     """
 
     skew: SkewStructure
-    hamiltonian: Callable[[np.ndarray], float]
+    hamiltonian: Callable[[np.ndarray], float | np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     descriptor: dict = field(default_factory=dict)
     separable: Optional[SeparableForm] = None
@@ -168,9 +172,9 @@ class SemiDiscreteSystem:
     def augmented(self) -> bool:
         return self.skew.augmented
 
-    def physical_hamiltonian(self, y: np.ndarray) -> float:
+    def physical_hamiltonian(self, y: np.ndarray):
         """The plain energy H(q, p, t): hamiltonian(y) - pt on augmented systems, hamiltonian(y) otherwise."""
-        return self.hamiltonian(y) - y[-1] if self.augmented else self.hamiltonian(y)
+        return self.hamiltonian(y) - y[..., -1] if self.augmented else self.hamiltonian(y)
 
 
 def separable_system(form, scale, hamiltonian, descriptor) -> SemiDiscreteSystem:
@@ -223,9 +227,9 @@ def shifted_solver(shift, eigenvalues, to_modes=None, from_modes=None) -> Callab
 
 
 def hamiltonian_drift(system: SemiDiscreteSystem, states) -> np.ndarray:
-    """Series H(y_n) - H(y_0) along a trajectory (rows of states)."""
+    """Series H(y_n) - H(y_0) along a trajectory (rows of states), from one hamiltonian call."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.shape[0] == 0:
         raise ValueError("trajectory must contain at least one state")
-    values = np.array([system.hamiltonian(y) for y in states])
+    values = system.hamiltonian(states)
     return values - values[0]

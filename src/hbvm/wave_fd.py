@@ -194,7 +194,7 @@ def build_periodic(N: int, order: int, domain, f, fprime, name: str = "wave") ->
     op = StencilOperator(N, "periodic", order, dx)
 
     def hamiltonian(y):
-        q, p = y[:N], y[N:]
+        q, p = y[..., :N], y[..., N:]
         terms = 0.5 * p * p + q * op.apply(q) / (2.0 * dx**2) + f(q)
         return dx * energy_sum(terms)
 
@@ -229,11 +229,11 @@ def _augmented_system(N, domain, f, fprime, boundary, kind, name) -> SemiDiscret
         return np.asarray(left(t), dtype=float), np.asarray(right(t), dtype=float)
 
     def hamiltonian(y):
-        q, p, t = y[:N], y[N : 2 * N], y[2 * N]
+        q, p, t = y[..., :N], y[..., N : 2 * N], y[..., 2 * N]
         g0, g1 = values(t)
         terms = 0.5 * p * p + q * op.apply(q) / (2.0 * dx**2) + f(q)
-        forcing = b0 * g0 * q[0] + b1 * g1 * q[-1] + w * (g0 * g0 + g1 * g1)  # beta(t).(q_1, q_N) + c(t)
-        return dx * energy_sum(terms) + forcing + y[2 * N + 1]
+        forcing = b0 * g0 * q[..., 0] + b1 * g1 * q[..., -1] + w * (g0 * g0 + g1 * g1)  # beta(t).(q_1, q_N) + c(t)
+        return dx * energy_sum(terms) + forcing + y[..., 2 * N + 1]
 
     def accel(stages, times):
         g0, g1 = values(times)

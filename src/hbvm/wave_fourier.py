@@ -189,7 +189,7 @@ def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wa
     q0, p0, e_n = project_initial(basis, m, psi0, psi1)
 
     def hamiltonian(y):
-        q, p = y[:dim], y[dim:]
+        q, p = y[..., :dim], y[..., dim:]
         u = _synthesis(spec, q)
         kinetic = energy_sum(0.5 * p * p)
         elastic = energy_sum(0.5 * diag * q * q)

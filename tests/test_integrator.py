@@ -13,7 +13,9 @@ from hbvm.integrator import (
     HBVMMethod,
     SolverConfig,
     SolverError,
+    StepDiagnostics,
     StepFailure,
+    drive,
     integrate,
     Stepper,
     rk_tableau,
@@ -458,7 +460,7 @@ def _oscillator_split(accel):
     """q'' = -5 q with the stiff part L = 4 in the linear operator and -q in accel."""
     form = SeparableForm(nq=1, accel=accel, linear_operator=lambda q: 4.0 * q,
                          make_preconditioner=lambda shift: shifted_solver(shift, np.array([4.0])))
-    return separable_system(form, 1.0, lambda y: 0.5 * y[1] ** 2 + 2.5 * y[0] ** 2, {}), np.array([1.0, 0.5])
+    return separable_system(form, 1.0, lambda y: 0.5 * y[..., 1] ** 2 + 2.5 * y[..., 0] ** 2, {}), np.array([1.0, 0.5])
 
 
 def _in_place(function):
@@ -956,3 +958,93 @@ class TestIntegrate:
         for j in range(3):
             ratio = np.log2(np.linalg.norm(g_h[j]) / np.linalg.norm(g_h2[j]))
             assert ratio == pytest.approx(j, abs=0.3)
+
+
+def _batch_run(name):
+    """(system, run(n_steps, stride, observer) -> TrajectoryRecord) of a short trajectory."""
+    if name == "explicit":
+        system, y0 = problems.sine_gordon_system(scheme="fd2", N=24)
+        return system, lambda n_steps, stride, observer: integrate_explicit(
+            system, y0, 0.05, n_steps, composition_scheme(4), record_stride=stride, observer=observer)
+    system, y0 = problems.sine_gordon_system(gamma=0.9, bc=name, N=24)
+    return system, lambda n_steps, stride, observer: integrate(
+        system, y0, 0.1, n_steps, HBVMMethod(5, 1), record_stride=stride, observer=observer)
+
+
+def _standing(y):
+    """An advance for drive that keeps the state: only the energy bookkeeping runs."""
+    return y, StepDiagnostics(1, 0.0, "standing")
+
+
+def _counting_rows(system):
+    """Copy of system that records the number of states of each hamiltonian call."""
+    rows = []
+    return replace(system, hamiltonian=lambda y: rows.append(len(y)) or system.hamiltonian(y)), rows
+
+
+class TestEnergyBatches:
+    """drive evaluates the energies of up to 32 states in one hamiltonian call, each state's once."""
+
+    @pytest.mark.parametrize("stride", [1, 0])
+    @pytest.mark.parametrize("n_steps", [0, 1, 31, 32, 33, 150])
+    @pytest.mark.parametrize("name", ["periodic", "dirichlet", "explicit"])
+    def test_energies_are_bitwise_the_per_state_calls(self, name, n_steps, stride):
+        system, run = _batch_run(name)
+        seen = []
+        rec = run(n_steps, stride, lambda n, t, y: seen.append(y.copy()))
+        assert len(seen) == n_steps + 1
+        assert rec.hamiltonian.tobytes() == np.array([system.hamiltonian(y) for y in seen]).tobytes()
+        if system.augmented:
+            physical = np.array([system.physical_hamiltonian(y) for y in seen])
+            assert rec.physical_hamiltonian.tobytes() == physical.tobytes()
+
+    @pytest.mark.parametrize("N,rows", [(24, 32), (768, 32), (800, 30), (3200, 7), (40000, 1)])
+    def test_a_batch_holds_at_most_32_states_and_48_ki_numbers(self, N, rows):
+        # 150 steps, as the benchmark workloads run, take 5 flushes at 30 or 32 rows
+        system, y0 = problems.sine_gordon_system(scheme="fd2", N=N)
+        counting, calls = _counting_rows(system)
+        rec = drive(counting, y0, 0.1, 150, _standing, "standing")
+        full, last = divmod(150, rows)
+        assert calls == [1] + [rows] * full + ([last] if last else [])
+        assert np.all(rec.hamiltonian == rec.hamiltonian[0])
+
+    def test_failure_record_carries_the_energies_through_the_step_before(self):
+        # the stalled fixed-point run of test_non_contracting_iteration_stops_before_overflow, which fails
+        # at step 16, halfway through a batch
+        system, y0 = problems.nls_system(N=64)
+        seen = []
+        with pytest.raises(StepFailure, match="stalled") as fail:
+            integrate(system, y0, 0.005, 40, HBVMMethod(5, 1), SolverConfig(mode="fixed-point"),
+                      observer=lambda n, t, y: seen.append(y.copy()))
+        assert fail.value.step_index == 16 and len(seen) == 16
+        partial = fail.value.partial
+        assert partial.hamiltonian.tobytes() == np.array([system.hamiltonian(y) for y in seen]).tobytes()
+        assert np.max(np.abs(partial.drift)) <= 1e-13
+
+    def test_observer_changing_the_state_leaves_the_recorded_energies(self):
+        system, y0 = problems.sine_gordon_system(scheme="fd2", N=24)
+        seen = []
+
+        def observer(n, t, y):
+            seen.append(y.copy())
+            y[0] += 1e-3  # the next step starts from the changed state, as from any other
+
+        rec = integrate(system, y0, 0.1, 40, HBVMMethod(5, 1), observer=observer)
+        assert rec.hamiltonian.tobytes() == np.array([system.hamiltonian(y) for y in seen]).tobytes()
+
+    @pytest.mark.parametrize("n_steps", [0, 2, 40])
+    def test_one_state_energy_rejected_at_entry(self, n_steps):
+        # y[1] of one state is row 1 of a stack: on a (1, 2) stack it raises, and on a (2, 2) one it
+        # would return two wrong energies
+        system, y0 = _oscillator_split(lambda g, t: -1.0 * g)
+        one_state = replace(system, hamiltonian=lambda y: 0.5 * y[1] ** 2 + 2.5 * y[0] ** 2)
+        seen = []
+        with pytest.raises(ValueError, match=r"hamiltonian must map a \(1, 2\) stack to shape \(1,\)"):
+            integrate(one_state, y0, 0.3, n_steps, HBVMMethod(6, 2), observer=lambda n, t, y: seen.append(n))
+        assert seen == []
+
+    def test_batch_of_the_wrong_shape_rejected(self):
+        system, y0 = problems.harmonic_oscillator(), np.array([1.0, 0.0])
+        first_only = replace(system, hamiltonian=lambda y: system.hamiltonian(y)[:1])
+        with pytest.raises(ValueError, match=r"\(2, 2\) stack to shape \(2,\), got \(1,\)"):
+            integrate(first_only, y0, 0.1, 2, HBVMMethod(2, 1))

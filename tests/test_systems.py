@@ -313,6 +313,69 @@ class TestEnergySum:
         assert np.max(np.abs(rec.drift)) > 0.0  # the trajectory moves the summed terms
 
 
+_ROW_CASES = {
+    "periodic-fd2": lambda: problems.sine_gordon_system(scheme="fd2", N=24),
+    "periodic-fd4": lambda: problems.sine_gordon_system(scheme="fd4", N=24),
+    "periodic-fd6": lambda: problems.sine_gordon_system(scheme="fd6", N=24),
+    "dirichlet": lambda: problems.sine_gordon_system(gamma=0.9, bc="dirichlet", N=24),
+    "neumann": lambda: problems.sine_gordon_system(gamma=0.9, bc="neumann", N=24),
+    "fourier": lambda: problems.sine_gordon_system(scheme="fourier", N=8, m=20),
+    "nls": lambda: problems.nls_system(N=16),
+    "quartic-wave": lambda: problems.quartic_wave_system(N=16),
+    "harmonic": lambda: (problems.harmonic_oscillator(omega=2.0), np.array([0.7, -0.2])),
+    "quartic": lambda: (problems.quartic_oscillator(), np.array([1.0, 0.5])),
+    "pendulum": lambda: (problems.pendulum(), np.array([1.3, 0.4])),
+}
+
+
+def _drawn_states(system, y0, rows, seed, scale):
+    """rows states scattered around y0; augmented ones each at their own time in [-10, 10]."""
+    rng = np.random.default_rng(seed)
+    states = y0 + scale * rng.standard_normal((rows, system.dim))
+    if system.augmented:
+        states[:, -2] = rng.uniform(-10.0, 10.0, rows)
+    return states
+
+
+class TestHamiltonianRows:
+    """hamiltonian maps a (rows, dim) stack to (rows,) energies, bitwise the per-row calls."""
+
+    @pytest.mark.parametrize("name", sorted(_ROW_CASES))
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 2.0))
+    def test_stack_is_bitwise_the_per_row_calls(self, name, rows, seed, scale):
+        system, y0 = _ROW_CASES[name]()
+        states = _drawn_states(system, y0, rows, seed, scale)
+        single = [system.hamiltonian(y) for y in states]
+        assert all(isinstance(value, float) for value in single)
+        stacked = system.hamiltonian(states)
+        assert stacked.shape == (rows,)
+        assert stacked.tobytes() == np.array(single).tobytes()
+        physical = [system.physical_hamiltonian(y) for y in states]
+        assert system.physical_hamiltonian(states).tobytes() == np.array(physical).tobytes()
+        np.testing.assert_array_equal(hamiltonian_drift(system, states), stacked - stacked[0])
+
+    @pytest.mark.parametrize("name", ["periodic-fd6", "dirichlet", "fourier", "nls"])
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_fsum_fallback_keeps_the_row_contract(self, name, rows, seed):
+        # without a wide long double energy_sum is math.fsum per row: exactly rounded, so it may differ
+        # from the long double sum by an ulp, but its stack is still bitwise the per-row calls
+        system, y0 = _ROW_CASES[name]()
+        states = _drawn_states(system, y0, rows, seed, 0.1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("hbvm.systems._WIDE_SUM", False)
+            single = [system.hamiltonian(y) for y in states]
+            stacked = system.hamiltonian(states)
+            terms = np.random.default_rng(seed).standard_normal((rows, 50))
+            sums = energy_sum(terms)
+            assert isinstance(energy_sum(terms[0]), float)
+            assert energy_sum(np.array([[1.0, 2.0**-70, -1.0]] * 2)).tolist() == [2.0**-70] * 2  # fsum, exactly
+        assert all(isinstance(value, float) for value in single)
+        assert stacked.shape == (rows,) and stacked.tobytes() == np.array(single).tobytes()
+        assert sums.tolist() == [math.fsum(row) for row in terms.tolist()]
+
+
 class TestReentrancy:
     def test_concurrent_integrations_share_a_system(self):
         # systems are immutable; parallel integrations must match serial ones

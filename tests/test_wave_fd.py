@@ -465,11 +465,12 @@ class TestAugmentedEnergyRecord:
             "nls": (partial(problems.nls_system, N=16), 0.01),
         }[name]
         system, y0 = build()
-        calls = []
-        counting = dataclasses.replace(system, hamiltonian=lambda y: calls.append(1) or system.hamiltonian(y))
-        n_steps = 7
+        rows = []
+        counting = dataclasses.replace(system, hamiltonian=lambda y: rows.append(len(y)) or system.hamiltonian(y))
+        n_steps = 40  # y0 at entry, then a full batch of 32 states and the last 8
         integrate(counting, y0, h, n_steps, HBVMMethod(5, 1))
-        assert len(calls) == n_steps + 1
+        assert sum(rows) == n_steps + 1  # each state's energy once
+        assert rows == [1, 32, 8]
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     def test_recorded_physical_energy_is_the_derived_one(self, bc):
