@@ -7,6 +7,7 @@ substeps with scaled stepsizes, run by one leapfrog loop.  Trajectories go
 through the HBVM driver, integrator.drive: the same batched energy bookkeeping
 (up to 32 states per hamiltonian call), the same rejection of bad input before
 any force evaluation, and StepFailure with the partial record when a run diverges.
+They run autonomous separable systems only, whose whole force is SeparableForm.pdot(q).
 """
 
 from __future__ import annotations
@@ -78,14 +79,13 @@ def _leapfrog(pdot, y, nq, force, substeps):
     """Kick-drift-kick substeps of the given sizes from y -> (y1, force).
 
     force = pdot(q) on entry; the force closing one substep opens the
-    next, so each substep costs one evaluation.  The system is autonomous
-    (see _require_separable), so pdot's times are a dummy zero.
+    next, so each substep costs one evaluation.
     """
     q, p = y[:nq].copy(), y[nq:].copy()
     for dt in substeps:
         p += 0.5 * dt * force
         q += dt * p
-        force = pdot(q[None, :], np.zeros(1))[0]
+        force = pdot(q)
         p += 0.5 * dt * force
     return np.concatenate([q, p]), force
 
@@ -94,7 +94,7 @@ def composition_step(system: SemiDiscreteSystem, y0, h: float, scheme: Compositi
     """One composed step: Stormer-Verlet substeps with scaled stepsizes."""
     sep = _require_separable(system)
     y0 = np.asarray(y0, dtype=float)
-    force = sep.pdot(y0[None, : sep.nq], np.zeros(1))[0]
+    force = sep.pdot(y0[: sep.nq])
     return _leapfrog(sep.pdot, y0, sep.nq, force, scheme.coefficients * h)[0]
 
 
@@ -122,7 +122,7 @@ def integrate_explicit(
     def advance(y):
         nonlocal force
         if force is None:
-            force = sep.pdot(y[None, : sep.nq], np.zeros(1))[0]
+            force = sep.pdot(y[: sep.nq])
         y, force = _leapfrog(sep.pdot, y, sep.nq, force, substeps)
         if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > DIVERGENCE_NORM:
             raise SolverError("explicit method diverged")

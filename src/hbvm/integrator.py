@@ -10,9 +10,10 @@ momentum derivative: with stage positions
 the coefficients satisfy g_j = sum_i b_i P_j(c_i) pdot(Q_i), and the step
 closes with p1 = p0 + h g_0 and q1 = q0 + h p0 + h^2 (g_0/2 - xi_1 g_1).
 The force is pdot = from_grid(accel(to_grid(q))) - L q with L linear and
-accel pointwise, so L and the grid maps act on the s coefficient rows, only
-accel sees the k stage rows, and the rounding of the stiff operator stays
-out of the iterates (see _separable_solver for F, B and Q0).
+accel pointwise (plus, on augmented systems, a boundary force of time alone,
+evaluated once per solve), so L and the grid maps act on the s coefficient
+rows, only accel sees the k stage rows, and the rounding of the stiff
+operator stays out of the iterates (see _separable_solver for F, B and Q0).
 Non-separable systems use the full-state analogue of the same fixed point;
 a semilinear one, ydot = g(y) - L y (NLS), splits it the same way, with
 only the pointwise g on the k stage rows (see _generic_solver).
@@ -247,9 +248,12 @@ def _separable_solver(system, h, tab, cfg, mode):
     grid maps act on the s coefficient rows, and only the pointwise accel
     sees the k stage rows (in a buffer each solve owns).  Q0 = lift (q0, p0)
     with the k x 2 table lift = [1, h c_i], and the maps are linear, so
-    to_grid and L see two rows per step, not k.  The table products
-    use np.dot, not @: matmul does not send an inner dimension of 1 (s = 1)
-    to BLAS, so W @ c takes 4-7 us at n = 400-800, np.dot 1-2 us, same bits.
+    to_grid and L see two rows per step, not k.  One forcing call at the
+    stage times gives an augmented system's boundary force, which joins
+    L(B Q0) as -B force, and ptdot at the accepted stage positions.  The
+    table products use np.dot, not @: matmul does not send an inner
+    dimension of 1 (s = 1) to BLAS, so W @ c takes 4-7 us at n = 400-800,
+    np.dot 1-2 us, same bits.
     """
     sep = system.separable
     nq = sep.nq
@@ -264,17 +268,18 @@ def _separable_solver(system, h, tab, cfg, mode):
 
     def solve(y0, start):
         q0, p0 = qp0 = y0[: 2 * nq].reshape(2, nq)
-        t0 = y0[2 * nq] if system.augmented else 0.0
-        times = t0 + tab.nodes * h
         grid_base = np.dot(lift, to_grid(qp0))
         lin_base = lin(np.dot(lift_basis, qp0))
+        if system.augmented:
+            force, rate = sep.forcing(y0[2 * nq] + tab.nodes * h)
+            lin_base -= np.dot(tab.weighted_basis, force)
         stage_grid = np.empty(grid_base.shape)
 
         def forces(coeffs):
             grid = np.dot(tab.stage_weights, to_grid(coeffs), out=stage_grid)
             grid *= h * h
             grid += grid_base
-            out = from_grid(np.dot(tab.weighted_basis, sep.accel(grid, times)))
+            out = from_grid(np.dot(tab.weighted_basis, sep.accel(grid)))
             out -= lin_base
             return out
 
@@ -292,8 +297,8 @@ def _separable_solver(system, h, tab, cfg, mode):
         y1[:nq] = q0 + h * p0 + h * h * np.dot(tab.integration_matrix[0], coeffs)
         if system.augmented:
             stage_q = np.dot(lift, qp0) + h * h * np.dot(tab.stage_weights, coeffs)
-            y1[2 * nq] = t0 + h
-            y1[2 * nq + 1] = y0[2 * nq + 1] + h * float(np.dot(tab.weights, sep.aug_rate(stage_q, times)))
+            y1[2 * nq] = y0[2 * nq] + h
+            y1[2 * nq + 1] = y0[2 * nq + 1] + h * float(np.dot(tab.weights, rate(stage_q)))
         return coeffs, diag, y1
 
     return solve
@@ -473,7 +478,8 @@ def drive(
     n_steps times, evaluating each state's energy once, up to 32 states per hamiltonian call.
 
     States are stored every ``record_stride`` steps (0 stores endpoints only);
-    ``observer(step_index, t, y)`` is invoked at every step including step 0.
+    ``observer(step_index, t, y)`` is invoked at every step including step 0, after y is stored and stacked for its
+    energy, so an observer that changes y in place changes where the next step starts, not what is recorded.
     y0's energy is evaluated at entry as a one-row stack; later states wait in a stack evaluated when full, at
     the last step and before a failure's partial record, inside the step that fills it and before its observer call.
     A malformed or non-finite state or stepsize, a step count or stride that is not a nonnegative integer,
@@ -539,11 +545,11 @@ def drive(
         if n - done == len(pending) or n == n_steps:
             flush(n)
         iters[n - 1], resid[n - 1] = diag.iterations, diag.residual
-        if observer is not None:
-            observer(n, times[n], y)
         if (record_stride and n % record_stride == 0) or n == n_steps:
             kept_states.append(y.copy())
             kept_times.append(times[n])
+        if observer is not None:
+            observer(n, times[n], y)
     return record(n_steps)
 
 

@@ -105,33 +105,23 @@ def sine_gordon_initial(gamma: float):
     return psi0, psi1
 
 
-def _exact_trace(gamma: float, x0: float, kind: str):
-    """(g, dg/dt) of the exact soliton at a fixed location x0: u, u_t (dirichlet) or u_x, u_xt (neumann)."""
-    s = _sech(x0 / gamma)
-    th = np.tanh(x0 / gamma)
-
-    def value_t(t):
-        phi, rate = _phi_and_rate(gamma, t)
-        return 4.0 * rate * s / (1.0 + (phi * s) ** 2)
-
-    def slope(t):
-        phi, _ = _phi_and_rate(gamma, t)
-        return -(4.0 / gamma) * phi * s * th / (1.0 + (phi * s) ** 2)
-
-    def slope_t(t):
-        phi, rate = _phi_and_rate(gamma, t)
-        den = 1.0 + (phi * s) ** 2
-        return -(4.0 / gamma) * s * th * rate * (1.0 - (phi * s) ** 2) / den**2
-
-    return (partial(sine_gordon_exact, gamma, x0), value_t) if kind == "dirichlet" else (slope, slope_t)
-
-
 def sine_gordon_boundary_data(gamma: float, kind: str, domain=DEFAULT_DOMAIN) -> BoundaryData:
-    """Boundary data matching the exact soliton: traces for Dirichlet, slopes for Neumann."""
+    """Boundary data matching the exact soliton at the domain's ends: traces (u, u_t) for Dirichlet, slopes
+    (u_x, u_xt) for Neumann, from one evaluation of the time factor at the times t for both ends."""
     if kind not in ("dirichlet", "neumann"):
         raise ValueError(f"unknown boundary kind {kind!r}")
-    (left, left_deriv), (right, right_deriv) = (_exact_trace(gamma, float(x0), kind) for x0 in domain)
-    return BoundaryData(kind=kind, left=left, left_deriv=left_deriv, right=right, right_deriv=right_deriv)
+    ends = np.array(domain, dtype=float) / gamma
+    sech, tanh = _sech(ends), np.tanh(ends)
+
+    def traces(t):
+        phi, rate = _phi_and_rate(gamma, t)
+        s, th = (v.reshape((2,) + (1,) * phi.ndim) for v in (sech, tanh))  # rows (left, right) against t's shape
+        den = 1.0 + (phi * s) ** 2
+        if kind == "dirichlet":
+            return 4.0 * np.arctan(phi * s), 4.0 * rate * s / den
+        return -(4.0 / gamma) * phi * s * th / den, -(4.0 / gamma) * s * th * rate * (1.0 - (phi * s) ** 2) / den**2
+
+    return BoundaryData(kind=kind, traces=traces)
 
 
 def sine_gordon_system(
@@ -297,7 +287,7 @@ def harmonic_oscillator(omega: float = 1.0) -> SemiDiscreteSystem:
     w2 = omega * omega
     return _oscillator(
         hamiltonian=lambda y: 0.5 * (y[..., 1] ** 2 + w2 * y[..., 0] ** 2),
-        accel=lambda stages, times: np.zeros_like(stages),
+        accel=lambda stages: np.zeros_like(stages),
         linear=w2,
     )
 
@@ -306,7 +296,7 @@ def quartic_oscillator() -> SemiDiscreteSystem:
     """H = p^2/2 + q^4/4; degree-4 polynomial energy."""
     return _oscillator(
         hamiltonian=lambda y: 0.5 * y[..., 1] ** 2 + 0.25 * y[..., 0] ** 4,
-        accel=lambda stages, times: -(stages**3),
+        accel=lambda stages: -(stages**3),
     )
 
 
@@ -314,6 +304,6 @@ def pendulum() -> SemiDiscreteSystem:
     """H = p^2/2 + 1 - cos q; smooth non-polynomial test problem."""
     return _oscillator(
         hamiltonian=lambda y: 0.5 * y[..., 1] ** 2 + 1.0 - np.cos(y[..., 0]),
-        accel=lambda stages, times: -np.sin(stages),
+        accel=lambda stages: -np.sin(stages),
     )
 

@@ -14,14 +14,15 @@ to one energy per row, bitwise the per-row calls, summing the per-node terms
 through energy_sum; the physical energy of an augmented system is derived
 from the conserved one, H = Ht - pt.
 
-Separable systems (second-order qdot = p, pdot = SeparableForm.pdot(q, t))
+Separable systems (second-order qdot = p, pdot = SeparableForm.pdot(q))
 state their force once, in a SeparableForm, split into a stiff linear part
 -L q and a pointwise remainder evaluated on grid values: the integrator keeps
 L and the grid maps on its s coefficient rows and evaluates only the
 remainder on the k stage rows, and separable_system reads the gradient off
 pdot.  With skew scale c, qdot = c dH/dp and pdot = -c dH/dq, so dH/dq =
--pdot/c and dH/dp = p/c; for augmented systems ptdot = -dH/dqt = aug_rate
-and qtdot = dH/dpt = 1.
+-pdot/c and dH/dp = p/c.  Boundary-forced systems add a time-only hook,
+forcing(t) -> (force, rate): the force rows joining pdot at times t, and
+rate(q) = ptdot = -dH/dqt at rows of q at those times; qtdot = dH/dpt = 1.
 
 Non-separable systems ydot = g(y) - L y (NLS) carry the same split in a
 SemilinearForm on rows of the full state, so the blended step solves their
@@ -88,36 +89,39 @@ class SkewStructure:
 
 @dataclass(frozen=True)
 class SeparableForm:
-    """Second-order structure qdot = p, pdot = pdot(q, t) used by fast solvers.
+    """Second-order structure qdot = p, pdot = pdot(q) (+ a boundary force) used by fast solvers.
 
-    The force is split as pdot(q, t) = from_grid(accel(to_grid(q), t)) - L q.
+    The force is split as pdot(q) = from_grid(accel(to_grid(q))) - L q.
     linear_operator applies the stiff linear part L to rows of q (``None``
-    when there is none).  accel is the non-stiff remainder: it maps rows of
-    grid values and their times to rows of grid forces, -f'(u) plus any
-    boundary forcing.  to_grid and from_grid are the linear maps between the
-    rows of q and grid values (Fourier synthesis and trapezoidal analysis);
-    ``None`` means the identity, as for finite differences, whose unknowns
-    are the grid values.  make_preconditioner(shift) returns an exact solver
-    of (I + shift (x) L) c = r on s coefficient rows for an s x s shift (h^2
-    X^2), leaving r untouched (shifted_solver, or a band LU for Dirichlet
-    and Neumann).  aug_rate(q, t) gives ptdot at rows of q and their times:
-    it reads positions only, so a solver needs no stage momenta.  accel may
-    overwrite its grid argument but keeps no reference to it (the solver
-    reuses the buffer); from_grid returns an array the solver may overwrite.
+    when there is none).  accel is the pointwise non-stiff remainder: it
+    maps rows of grid values to rows of grid forces, -f'(u).  to_grid and
+    from_grid are the linear maps between the rows of q and grid values
+    (Fourier synthesis and trapezoidal analysis); ``None`` means the
+    identity, as for finite differences, whose unknowns are the grid values.
+    make_preconditioner(shift) returns an exact solver of (I + shift (x) L)
+    c = r on s coefficient rows for an s x s shift (h^2 X^2), leaving r
+    untouched (shifted_solver, or a band LU for Dirichlet and Neumann).
+    forcing(times) -> (force, rate), set on boundary-forced systems only,
+    depends on time alone: the force rows join pdot at those times, and
+    rate(q) gives ptdot at rows of q at the same times, reading positions
+    only, so a solver evaluates it once per solve and needs no stage
+    momenta.  accel may overwrite its grid argument but keeps no reference
+    to it (the solver reuses the buffer); from_grid returns an array the
+    solver may overwrite.
     """
 
     nq: int
-    accel: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    accel: Callable[[np.ndarray], np.ndarray]
     make_preconditioner: Optional[Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None
     linear_operator: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    aug_rate: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    forcing: Optional[Callable[[np.ndarray], tuple]] = None
     to_grid: Optional[Callable[[np.ndarray], np.ndarray]] = None
     from_grid: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def pdot(self, q: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The full momentum derivative at rows of q and their times."""
+    def pdot(self, q: np.ndarray) -> np.ndarray:
+        """The autonomous momentum derivative at q or rows of q, without the boundary force."""
         grid = q if self.to_grid is None else self.to_grid(q)
-        out = self.accel(grid, t)
+        out = self.accel(grid)
         if self.from_grid is not None:
             out = self.from_grid(out)
         if self.linear_operator is not None:
@@ -180,23 +184,24 @@ class SemiDiscreteSystem:
 def separable_system(form, scale, hamiltonian, descriptor) -> SemiDiscreteSystem:
     """System of a separable form with skew scale ``scale``, its gradient read
     off the form (sign and scale rule in the module docstring); a form with
-    aug_rate gives an augmented system.  The gradient keeps this form, so
-    replacing ``separable`` on the result leaves J grad H unchanged.
+    forcing gives an augmented system, forced at each row's qt.  The gradient
+    keeps this form, so replacing ``separable`` on the result leaves J grad H unchanged.
     """
     n = form.nq
-    skew = SkewStructure(n=n, scale=scale, augmented=form.aug_rate is not None)
-    pdot, aug_rate = form.pdot, form.aug_rate
+    skew = SkewStructure(n=n, scale=scale, augmented=form.forcing is not None)
+    pdot, forcing = form.pdot, form.forcing
 
     def gradient(y):
         rows = np.atleast_2d(y)
         q, p = rows[:, :n], rows[:, n : 2 * n]
-        t = rows[:, 2 * n] if skew.augmented else np.zeros(len(rows))
         g = np.empty(rows.shape)
-        g[:, :n] = -pdot(q, t) / scale
-        g[:, n : 2 * n] = p / scale
+        g[:, :n] = pdot(q)
         if skew.augmented:
-            g[:, 2 * n] = -aug_rate(q, t)
-            g[:, 2 * n + 1] = 1.0
+            force, rate = forcing(rows[:, 2 * n])
+            g[:, :n] += force
+            g[:, 2 * n], g[:, 2 * n + 1] = -rate(q), 1.0
+        g[:, :n] /= -scale  # x / -c is exactly -(x / c)
+        g[:, n : 2 * n] = p / scale
         return g.reshape(np.shape(y))
 
     return SemiDiscreteSystem(skew=skew, hamiltonian=hamiltonian, gradient=gradient, descriptor=descriptor, separable=form)

@@ -6,7 +6,9 @@ boundary conditions (second, fourth, or sixth order), tridiagonal for
 Dirichlet and Neumann.  Boundary-forced problems are the non-autonomous
 H0(q, p) + beta(t).(q_1, q_N) + c(t), returned in augmented autonomous form
 with the conjugate time pair appended to the state, so a single integrator
-code path handles all three cases.
+code path handles all three cases.  Their data is one BoundaryData callable,
+traces(t) -> (g, dg/dt), and the forcing read off it depends on time alone:
+the solver evaluates it once per stage solve, at the stage times.
 
 Stencils are stored as per-offset second-difference weights w_r, with
 (T q)_i = sum_r w_r (2 q_i - q_{i-r} - q_{i+r}); energies are summed in
@@ -110,24 +112,20 @@ class StencilOperator:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Time-dependent boundary functions with their time derivatives.
+    """Time-dependent boundary data: traces(t) -> (g, dg), each with rows (left, right).
 
-    Dirichlet: values u(a,t), u(b,t); Neumann: slopes u_x(a,t), u_x(b,t).
-    All four callables must accept numpy arrays of times.
+    Dirichlet: values g = (u(a,t), u(b,t)); Neumann: slopes g = (u_x(a,t),
+    u_x(b,t)); dg = dg/dt.  traces must accept numpy arrays of times.
     """
 
     kind: str
-    left: Callable
-    left_deriv: Callable
-    right: Callable
-    right_deriv: Callable
+    traces: Callable
 
     def __post_init__(self):
         if self.kind not in ("dirichlet", "neumann"):
             raise ValueError(f"unknown boundary kind {self.kind!r}")
-        for fn in (self.left, self.left_deriv, self.right, self.right_deriv):
-            if not callable(fn):
-                raise ValueError("boundary values and derivatives must all be callable")
+        if not callable(self.traces):
+            raise ValueError("boundary traces must be callable")
 
 
 def _banded_solver(shift: np.ndarray, diag: np.ndarray):
@@ -153,12 +151,13 @@ def _banded_solver(shift: np.ndarray, diag: np.ndarray):
     return solve
 
 
-def _stencil_system(op: StencilOperator, domain, x, name, hamiltonian, accel, aug_rate=None):
-    """Separable system of the stencil T/dx^2 with the given energy and forces.
+def _stencil_system(op: StencilOperator, domain, x, name, hamiltonian, fprime, forcing=None):
+    """Separable system of the stencil T/dx^2 with the given energy and boundary forcing.
 
-    linear_operator applies T/dx^2, and accel is the rest of the force on
-    the grid; the preconditioner solves I + shift (x) T/dx^2 exactly: mode by
-    mode of the FFT for circulant T, by a banded LU otherwise.
+    linear_operator applies T/dx^2, and accel = -f'(u) is the rest of the
+    autonomous force on the grid; the preconditioner solves I + shift (x)
+    T/dx^2 exactly: mode by mode of the FFT for circulant T, by a banded LU
+    otherwise.
     """
     dx = op.dx
 
@@ -174,8 +173,11 @@ def _stencil_system(op: StencilOperator, domain, x, name, hamiltonian, accel, au
     def make_preconditioner(shift: np.ndarray):
         return solver(shift / dx**2)
 
+    def accel(stages: np.ndarray) -> np.ndarray:
+        return -fprime(stages)
+
     form = SeparableForm(
-        nq=op.n, accel=accel, make_preconditioner=make_preconditioner, linear_operator=linear_operator, aug_rate=aug_rate
+        nq=op.n, accel=accel, make_preconditioner=make_preconditioner, linear_operator=linear_operator, forcing=forcing
     )
     descriptor = {"name": name, "bc": op.bc, "order": op.order, "domain": domain, "x": x, "dx": dx, "stencil": op}
     return separable_system(form, 1.0 / dx, hamiltonian, descriptor)
@@ -198,10 +200,7 @@ def build_periodic(N: int, order: int, domain, f, fprime, name: str = "wave") ->
         terms = 0.5 * p * p + q * op.apply(q) / (2.0 * dx**2) + f(q)
         return dx * energy_sum(terms)
 
-    def accel(stages, times):
-        return -fprime(stages)
-
-    return _stencil_system(op, (a, b), x, name, hamiltonian, accel)
+    return _stencil_system(op, (a, b), x, name, hamiltonian, fprime)
 
 
 def _augmented_system(N, domain, f, fprime, boundary, kind, name) -> SemiDiscreteSystem:
@@ -212,10 +211,10 @@ def _augmented_system(N, domain, f, fprime, boundary, kind, name) -> SemiDiscret
     + c(t), H0 the interior energy of the stencil T, with beta = b g(t) and
     c = w |g(t)|^2 in the boundary functions g = (g_0, g_1) and the
     coefficients (b, w) of _FORCING.  Everything else is derived from beta
-    and c: the conserved energy Ht = H + pt, the end-node force -beta/dx in
-    accel, and ptdot = aug_rate(q, t) = -beta'(t).(q_1, q_N) - c'(t), which
-    reads q only.  The gradient, qt-slot included, is read off them by
-    separable_system.
+    and c: the conserved energy Ht = H + pt, and from one traces call at the
+    times t, forcing(t) -> (force, rate) with the end-node force -beta/dx
+    and ptdot = rate(q) = -beta'(t).(q_1, q_N) - c'(t), which reads q only.
+    The gradient, qt-slot included, is read off them by separable_system.
     """
     if boundary.kind != kind:
         raise ValueError(f"build_{kind} requires {kind.capitalize()} boundary data")
@@ -225,29 +224,25 @@ def _augmented_system(N, domain, f, fprime, boundary, kind, name) -> SemiDiscret
     op = StencilOperator(N, kind, 2, dx)
     (b0, b1), w = _FORCING[kind](dx)
 
-    def values(t, left=boundary.left, right=boundary.right):
-        return np.asarray(left(t), dtype=float), np.asarray(right(t), dtype=float)
-
     def hamiltonian(y):
-        q, p, t = y[..., :N], y[..., N : 2 * N], y[..., 2 * N]
-        g0, g1 = values(t)
+        q, p = y[..., :N], y[..., N : 2 * N]
+        (g0, g1), _ = boundary.traces(y[..., 2 * N])
         terms = 0.5 * p * p + q * op.apply(q) / (2.0 * dx**2) + f(q)
-        forcing = b0 * g0 * q[..., 0] + b1 * g1 * q[..., -1] + w * (g0 * g0 + g1 * g1)  # beta(t).(q_1, q_N) + c(t)
-        return dx * energy_sum(terms) + forcing + y[..., 2 * N + 1]
+        beta_c = b0 * g0 * q[..., 0] + b1 * g1 * q[..., -1] + w * (g0 * g0 + g1 * g1)  # beta(t).(q_1, q_N) + c(t)
+        return dx * energy_sum(terms) + beta_c + y[..., 2 * N + 1]
 
-    def accel(stages, times):
-        g0, g1 = values(times)
-        out = -fprime(stages)
-        out[:, 0] -= b0 * g0 / dx
-        out[:, -1] -= b1 * g1 / dx
-        return out
+    def forcing(times):
+        (g0, g1), (d0, d1) = boundary.traces(times)
+        force = np.zeros((len(times), N))
+        force[:, 0], force[:, -1] = -b0 * g0 / dx, -b1 * g1 / dx
 
-    def aug_rate(q, times):
-        (g0, g1), (d0, d1) = values(times), values(times, boundary.left_deriv, boundary.right_deriv)
-        return -(b0 * d0 * q[:, 0] + b1 * d1 * q[:, -1]) - 2.0 * w * (g0 * d0 + g1 * d1)
+        def rate(q):
+            return -(b0 * d0 * q[:, 0] + b1 * d1 * q[:, -1]) - 2.0 * w * (g0 * d0 + g1 * d1)
+
+        return force, rate
 
     x = a + dx * np.arange(1, N + 1)
-    return _stencil_system(op, (a, b), x, name, hamiltonian, accel, aug_rate)
+    return _stencil_system(op, (a, b), x, name, hamiltonian, fprime, forcing)
 
 
 def build_dirichlet(N: int, domain, f, fprime, boundary: BoundaryData, name: str = "wave") -> SemiDiscreteSystem:

@@ -195,11 +195,11 @@ def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wa
         elastic = energy_sum(0.5 * diag * q * q)
         return kinetic + elastic + (length / m) * energy_sum(f(u))
 
-    def accel(grid, times):
+    def accel(grid):
         return -fprime(grid)
 
     def linear_operator(stages):
-        return stages * diag[None, :]
+        return stages * diag
 
     form = SeparableForm(
         nq=dim, accel=accel, linear_operator=linear_operator, to_grid=partial(_synthesis, spec),

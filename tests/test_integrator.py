@@ -23,7 +23,7 @@ from hbvm.integrator import (
     _warm_starts,
 )
 from hbvm.legendre import gauss_rule
-from hbvm.systems import SeparableForm, separable_system, shifted_solver
+from hbvm.systems import SeparableForm, hamiltonian_drift, separable_system, shifted_solver
 
 
 class TestStepBasics:
@@ -273,7 +273,7 @@ def _counting(system):
     changes = {"gradient": lambda y: calls.append(1) or system.gradient(y)}
     if system.separable is not None:
         accel = system.separable.accel
-        changes["separable"] = replace(system.separable, accel=lambda q, t: calls.append(1) or accel(q, t))
+        changes["separable"] = replace(system.separable, accel=lambda q: calls.append(1) or accel(q))
     if system.semilinear is not None:
         nonlinear = system.semilinear.nonlinear
         changes["semilinear"] = replace(system.semilinear, nonlinear=lambda y: calls.append(1) or nonlinear(y))
@@ -296,7 +296,7 @@ def _nan_field_system(name, column=None):
     column, or else zero with a NaN in one column."""
     system, y0 = _FAIL_FAST_SYSTEMS[name]()
 
-    def nan_field(rows, *times):
+    def nan_field(rows):
         out = np.zeros_like(rows)
         out[..., slice(None) if column is None else column] = np.nan
         return out
@@ -466,15 +466,15 @@ def _oscillator_split(accel):
 def _in_place(function):
     """function, but writing its result into its argument and returning that."""
 
-    def in_place(values, *args):
-        values[...] = function(values, *args)
+    def in_place(values):
+        values[...] = function(values)
         return values
 
     return in_place
 
 
 _CONTRACT_CASES = {
-    "oscillator": (lambda: _oscillator_split(lambda g, t: -1.0 * g), 0.3),
+    "oscillator": (lambda: _oscillator_split(lambda g: -1.0 * g), 0.3),
     "periodic-fd6": (lambda: problems.sine_gordon_system(gamma=1.0, scheme="fd6", N=64), 0.1),
     "fourier": (lambda: problems.sine_gordon_system(gamma=1.0, scheme="fourier", N=16, m=40), 0.1),
     "dirichlet-fd2": (lambda: problems.sine_gordon_system(gamma=0.9, bc="dirichlet", N=64), 0.1),
@@ -515,7 +515,7 @@ class TestBufferContract:
         # the solves would hand each thread the other's stage positions; -y0 takes the same iterations
         meet = threading.Barrier(2, timeout=10.0)
 
-        def accel(g, t):
+        def accel(g):
             meet.wait()
             g *= -1.0
             return g
@@ -537,7 +537,7 @@ class TestBufferContract:
         for thread in threads:
             thread.join(timeout=30.0)
         assert not any(thread.is_alive() for thread in threads) and errors == []
-        alone, _ = _oscillator_split(lambda g, t: -1.0 * g)
+        alone, _ = _oscillator_split(lambda g: -1.0 * g)
         for sign in (1.0, -1.0):
             expected, diag = Stepper(alone, 0.3, HBVMMethod(6, 2), SolverConfig(mode="fixed-point"))(sign * y0)
             np.testing.assert_array_equal(results[sign][0], expected)
@@ -852,6 +852,12 @@ _MODE_SYSTEMS = {
     "periodic-fd6": lambda: problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd6", N=48),
     "dirichlet-fd2": lambda: problems.sine_gordon_system(gamma=1.0, bc="dirichlet", scheme="fd2", N=48),
     "neumann-fd2": lambda: problems.sine_gordon_system(gamma=1.0, bc="neumann", scheme="fd2", N=48),
+    # the sinc path of the time factor, on [-4, 4], where the soliton forces the ends at O(0.1): a solve that
+    # takes the forcing at t0, or at the previous solve's stage times, moves y1 by about 1e-3
+    "dirichlet-fd2-gamma0.9": lambda: problems.sine_gordon_system(
+        gamma=0.9, bc="dirichlet", scheme="fd2", N=48, domain=(-4.0, 4.0)),
+    "neumann-fd2-gamma1.1": lambda: problems.sine_gordon_system(
+        gamma=1.1, bc="neumann", scheme="fd2", N=48, domain=(-4.0, 4.0)),
     "fourier": lambda: problems.sine_gordon_system(gamma=1.0, scheme="fourier", N=16, m=32),
 }
 
@@ -1031,12 +1037,13 @@ class TestEnergyBatches:
 
         rec = integrate(system, y0, 0.1, 40, HBVMMethod(5, 1), observer=observer)
         assert rec.hamiltonian.tobytes() == np.array([system.hamiltonian(y) for y in seen]).tobytes()
+        assert hamiltonian_drift(system, rec.states).tobytes() == rec.drift.tobytes()  # the states are those seen
 
     @pytest.mark.parametrize("n_steps", [0, 2, 40])
     def test_one_state_energy_rejected_at_entry(self, n_steps):
         # y[1] of one state is row 1 of a stack: on a (1, 2) stack it raises, and on a (2, 2) one it
         # would return two wrong energies
-        system, y0 = _oscillator_split(lambda g, t: -1.0 * g)
+        system, y0 = _oscillator_split(lambda g: -1.0 * g)
         one_state = replace(system, hamiltonian=lambda y: 0.5 * y[1] ** 2 + 2.5 * y[0] ** 2)
         seen = []
         with pytest.raises(ValueError, match=r"hamiltonian must map a \(1, 2\) stack to shape \(1,\)"):

@@ -92,9 +92,8 @@ class TestExactSoliton:
 
 class TestBoundaryData:
     def test_dirichlet_zero_at_start(self):
-        data = problems.sine_gordon_boundary_data(1.0, "dirichlet")
-        assert float(data.left(0.0)) == 0.0
-        assert float(data.right(0.0)) == 0.0
+        values, _ = problems.sine_gordon_boundary_data(1.0, "dirichlet").traces(0.0)
+        np.testing.assert_array_equal(values, [0.0, 0.0])
 
     @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
     @pytest.mark.parametrize("gamma", [0.9, 1.0, 1.1])
@@ -102,17 +101,18 @@ class TestBoundaryData:
         data = problems.sine_gordon_boundary_data(gamma, kind, domain=(-3.0, 3.0))
         delta = 1e-5
         for t in (0.2, 1.0, 2.5):
-            for fn, dfn in ((data.left, data.left_deriv), (data.right, data.right_deriv)):
-                fd = (float(fn(t + delta)) - float(fn(t - delta))) / (2 * delta)
-                assert fd == pytest.approx(float(dfn(t)), rel=1e-6, abs=1e-6)
+            for end in (0, 1):  # left, right
+                fd = (float(data.traces(t + delta)[0][end]) - float(data.traces(t - delta)[0][end])) / (2 * delta)
+                assert fd == pytest.approx(float(data.traces(t)[1][end]), rel=1e-6, abs=1e-6)
 
     def test_neumann_trace_magnitude_bound(self):
         # |u_x(+-20, t)| <= 4 sech(20) for gamma = 1, t <= 1
         data = problems.sine_gordon_boundary_data(1.0, "neumann")
         bound = 4.0 / np.cosh(20.0)
         for t in np.linspace(0.0, 1.0, 7):
-            assert abs(float(data.left(t))) <= bound
-            assert abs(float(data.right(t))) <= bound
+            left, right = data.traces(t)[0]
+            assert abs(float(left)) <= bound
+            assert abs(float(right)) <= bound
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -214,10 +214,11 @@ class TestNLS:
 
 
 _ZERO = lambda u: np.zeros_like(u)
+_ZERO_TRACES = lambda t: (np.zeros((2,) + np.shape(t)),) * 2
 _BUILDERS = {
     "periodic": lambda domain: build_periodic(16, 2, domain, _ZERO, _ZERO),
-    "dirichlet": lambda domain: build_dirichlet(16, domain, _ZERO, _ZERO, BoundaryData("dirichlet", *[_ZERO] * 4)),
-    "neumann": lambda domain: build_neumann(16, domain, _ZERO, _ZERO, BoundaryData("neumann", *[_ZERO] * 4)),
+    "dirichlet": lambda domain: build_dirichlet(16, domain, _ZERO, _ZERO, BoundaryData("dirichlet", _ZERO_TRACES)),
+    "neumann": lambda domain: build_neumann(16, domain, _ZERO, _ZERO, BoundaryData("neumann", _ZERO_TRACES)),
     "nls": lambda domain: problems.build_nls_periodic(16, domain, 1.0),
     "fourier": lambda domain, N=4, m=16: build_fourier(N, m, domain, _ZERO, _ZERO, _ZERO, _ZERO),
 }

@@ -110,12 +110,13 @@ def _closed_force_formulas():
 
         def force(q, t, op=op, dx=dx, data=data, bc=bc):
             f = -op.apply(q) / dx**2 - np.sin(q)
+            (left, right), _ = data.traces(t)
             if bc == "dirichlet":
-                f[:, 0] += data.left(t) / dx**2
-                f[:, -1] += data.right(t) / dx**2
+                f[:, 0] += left / dx**2
+                f[:, -1] += right / dx**2
             else:
-                f[:, 0] -= data.left(t) / dx
-                f[:, -1] += data.right(t) / dx
+                f[:, 0] -= left / dx
+                f[:, -1] += right / dx
             return f
 
         out[bc] = (system, force)
@@ -130,20 +131,21 @@ def _closed_force_formulas():
 class TestForceContract:
     @pytest.mark.parametrize("name", sorted(_closed_force_formulas()))
     def test_pdot_is_the_closed_force_formula(self, name, rng):
-        # pdot = from_grid(accel(to_grid(q), t)) - L q is the whole force
+        # pdot(q) = from_grid(accel(to_grid(q))) - L q plus the boundary force at t is the whole force
         system, force = _closed_force_formulas()[name]
         sep = system.separable
         q = rng.standard_normal((5, sep.nq))
         t = rng.uniform(0.0, 2.0, size=5)
         want = force(q, t)
-        np.testing.assert_allclose(sep.pdot(q, t), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+        got = sep.pdot(q) + (sep.forcing(t)[0] if system.augmented else 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 class TestGradientContract:
     def test_gradient_matches_finite_differences(self, rng):
         # componentwise central differences at perturbation 1e-6, on 25
         # sampled slots and, for augmented systems, always the qt-slot: it is
-        # dH/dt of the non-autonomous energy, -aug_rate.  The extra pair on
+        # dH/dt of the non-autonomous energy, -rate of the forcing.  The extra pair on
         # (-2, 2) is forced at O(1), where a wrong qt-slot shows.
         eps = 1e-6
         systems = build_all_systems()

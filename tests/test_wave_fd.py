@@ -15,6 +15,7 @@ from hbvm.wave_fd import (
 )
 
 ZERO = lambda u: np.zeros_like(u)
+ZERO_TRACES = lambda t: (np.zeros((2,) + np.shape(t)),) * 2  # boundary data (g, dg) that is zero at all times
 
 _SHIFTED_SYSTEMS = {
     "periodic-fd2": lambda: problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd2", N=24)[0],
@@ -44,7 +45,8 @@ def ghost_cell_energy(system, bdata, q, p, t):
     """Sine-Gordon Neumann energy E from ghost values u_0 = u_1 - phi_0 dx and
     u_{N+1} = u_N + phi_1 dx, summed as squared differences."""
     dx = system.descriptor["dx"]
-    ext = np.concatenate([[q[0] - float(bdata.left(t)) * dx], q, [q[-1] + float(bdata.right(t)) * dx]])
+    (left, right), _ = bdata.traces(t)
+    ext = np.concatenate([[q[0] - float(left) * dx], q, [q[-1] + float(right) * dx]])
     return dx * np.sum(0.5 * p * p + (1.0 - np.cos(q))) + 0.5 * np.sum((ext[1:] - ext[:-1]) ** 2) / dx
 
 
@@ -157,11 +159,10 @@ class TestStencilOperator:
     def test_builders_reject_small_meshes(self):
         # N = 0 (periodic) and N = -1 (boundary-forced) would divide by zero
         # before the operator checks its reach
-        fns = (ZERO, ZERO, ZERO, ZERO)
         builders = {
             "periodic": lambda N: build_periodic(N, 2, (0.0, 1.0), ZERO, ZERO),
-            "dirichlet": lambda N: build_dirichlet(N, (0.0, 1.0), ZERO, ZERO, BoundaryData("dirichlet", *fns)),
-            "neumann": lambda N: build_neumann(N, (0.0, 1.0), ZERO, ZERO, BoundaryData("neumann", *fns)),
+            "dirichlet": lambda N: build_dirichlet(N, (0.0, 1.0), ZERO, ZERO, BoundaryData("dirichlet", ZERO_TRACES)),
+            "neumann": lambda N: build_neumann(N, (0.0, 1.0), ZERO, ZERO, BoundaryData("neumann", ZERO_TRACES)),
             "nls": lambda N: problems.build_nls_periodic(N, (0.0, 1.0), 1.0),
         }
         for name, build in builders.items():
@@ -275,8 +276,7 @@ class TestHighOrderStencilRuns:
 
 class TestBuildDirichlet:
     def test_zero_boundary_matches_homogeneous(self, rng):
-        zero_fn = lambda t: np.zeros_like(np.asarray(t, dtype=float)) + 0.0
-        boundary = BoundaryData("dirichlet", zero_fn, zero_fn, zero_fn, zero_fn)
+        boundary = BoundaryData("dirichlet", ZERO_TRACES)
         system = build_dirichlet(12, (0.0, 1.0), problems.sine_gordon_f, problems.sine_gordon_fprime, boundary)
         y = 0.3 * rng.standard_normal(system.dim)
         y[-2:] = [0.7, 0.2]
@@ -312,10 +312,7 @@ class TestBuildDirichlet:
         flux = np.empty(ts.size)
         for i, t in enumerate(ts):
             q = states[:n, i]
-            u0 = float(bdata.left(t))
-            u1 = float(bdata.right(t))
-            d0 = float(bdata.left_deriv(t))
-            d1 = float(bdata.right_deriv(t))
+            (u0, u1), (d0, d1) = bdata.traces(t)
             flux[i] = (u1 - q[-1]) / dx * d1 - (q[0] - u0) / dx * d0
         change = system.physical_hamiltonian(states[:, -1]) - system.physical_hamiltonian(states[:, 0])
         assert abs(change) > 1e-3  # nontrivial energy exchange
@@ -326,13 +323,12 @@ class TestBuildDirichlet:
         with pytest.raises(ValueError):
             build_dirichlet(10, (0.0, 1.0), ZERO, ZERO, boundary)
         with pytest.raises(ValueError):
-            BoundaryData("dirichlet", lambda t: 0.0, None, lambda t: 0.0, lambda t: 0.0)
+            BoundaryData("dirichlet", None)
 
 
 class TestBuildNeumann:
     def test_constant_state_unforced(self):
-        zero_fn = lambda t: np.zeros_like(np.asarray(t, dtype=float)) + 0.0
-        boundary = BoundaryData("neumann", zero_fn, zero_fn, zero_fn, zero_fn)
+        boundary = BoundaryData("neumann", ZERO_TRACES)
         system = build_neumann(12, (0.0, 1.0), ZERO, ZERO, boundary)
         n = system.skew.n
         y = np.zeros(system.dim)
@@ -356,7 +352,8 @@ class TestBuildNeumann:
             p = rng.standard_normal(N)
             t = rng.random()
             total = ghost_cell_energy(system, bdata, q, p, t)
-            total += float(bdata.left(t)) * q[0] - float(bdata.right(t)) * q[-1]
+            (left, right), _ = bdata.traces(t)
+            total += float(left) * q[0] - float(right) * q[-1]
             y = np.concatenate([q, p, [t, 0.0]])
             assert system.hamiltonian(y) == pytest.approx(total, rel=1e-12)
 
@@ -374,8 +371,7 @@ class TestBuildNeumann:
         flux = np.empty(ts.size)
         for i, t in enumerate(ts):
             p = states[n : 2 * n, i]
-            s0, s1 = float(bdata.left(t)), float(bdata.right(t))
-            d0, d1 = float(bdata.left_deriv(t)), float(bdata.right_deriv(t))
+            (s0, s1), (d0, d1) = bdata.traces(t)
             flux[i] = s1 * p[-1] - s0 * p[0] + dx * (s0 * d0 + s1 * d1)
         energies = [ghost_cell_energy(system, bdata, states[:n, i], states[n : 2 * n, i], ts[i]) for i in (0, -1)]
         change = energies[1] - energies[0]
@@ -480,3 +476,24 @@ class TestAugmentedEnergyRecord:
         rec = integrate(system, y0, 0.1, 10, HBVMMethod(5, 1), record_stride=1)
         np.testing.assert_array_equal(rec.physical_hamiltonian, [system.physical_hamiltonian(y) for y in rec.states])
         assert np.max(np.abs(rec.physical_drift)) > 1e-3  # the forcing moves H, not Ht
+
+
+class TestBoundaryTraceEvaluations:
+    @pytest.mark.parametrize("mode", ["blended", "fixed-point"])
+    @pytest.mark.parametrize("bc,gamma", [("dirichlet", 0.9), ("neumann", 1.1)])
+    def test_traces_once_per_stage_solve(self, bc, gamma, mode):
+        # the forcing depends on the stage times alone: one traces call per stage solve, however many
+        # iterations it takes, and one per energy flush (y0 at entry, a full stack of 32, the last 8)
+        from hbvm.integrator import HBVMMethod, SolverConfig, integrate
+
+        data, calls = problems.sine_gordon_boundary_data(gamma, bc), []
+        counted = BoundaryData(bc, lambda t: calls.append(np.shape(t)) or data.traces(t))
+        builder = build_dirichlet if bc == "dirichlet" else build_neumann
+        system = builder(48, problems.DEFAULT_DOMAIN, problems.sine_gordon_f, problems.sine_gordon_fprime, counted)
+        psi0, psi1 = problems.sine_gordon_initial(gamma)
+        x = system.descriptor["x"]
+        y0 = np.concatenate([psi0(x), psi1(x), [0.0, 0.0]])
+        rec = integrate(system, y0, 0.1, 40, HBVMMethod(6, 2), SolverConfig(mode=mode), record_stride=0)
+        assert rec.mode == mode and rec.iterations.sum() > 2 * 40
+        assert len(calls) <= 40 + 3
+        assert np.max(np.abs(rec.drift)) <= 1e-12
