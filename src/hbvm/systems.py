@@ -120,7 +120,7 @@ class SeparableForm:
 
     def pdot(self, q: np.ndarray) -> np.ndarray:
         """The autonomous momentum derivative at q or rows of q, without the boundary force."""
-        grid = q if self.to_grid is None else self.to_grid(q)
+        grid = np.array(q, dtype=float) if self.to_grid is None else self.to_grid(q)  # accel may overwrite it
         out = self.accel(grid)
         if self.from_grid is not None:
             out = self.from_grid(out)

@@ -510,6 +510,18 @@ class TestBufferContract:
             np.testing.assert_array_equal(y_changed, y)
             assert (diag_changed.iterations, diag_changed.residual) == (diag.iterations, diag.residual)
 
+    def test_in_place_accel_leaves_the_callers_positions(self):
+        # pdot hands accel a copy of grid-valued q: rhs keeps its argument, and
+        # the explicit run ends bitwise on the plain one (3.56 away on a shared q)
+        system, y0 = problems.sine_gordon_system(gamma=1.0, scheme="fd6", N=64)
+        in_place = replace(system, separable=replace(system.separable, accel=_in_place(system.separable.accel)))
+        y = y0.copy()
+        np.testing.assert_array_equal(in_place.rhs(y), system.rhs(y0))
+        np.testing.assert_array_equal(y, y0)
+        runs = [integrate_explicit(candidate, y0, 0.05, 20, composition_scheme(4), record_stride=0)
+                for candidate in (system, in_place)]
+        np.testing.assert_array_equal(runs[1].final_state, runs[0].final_state)
+
     def test_threads_sharing_a_fixed_point_stepper_keep_their_own_stages(self):
         # every accel call of one thread waits for one of the other, so a stage buffer shared between
         # the solves would hand each thread the other's stage positions; -y0 takes the same iterations
@@ -556,12 +568,13 @@ _WARM_CASES = {
     # (system and y0, h, method, it/step bound); cold: 6.05, 5.25, 5.00, 6.00 and 11.0 it/step; the quadratic
     # start of three steps took 5.08, 4.17, 4.07, 3.04 and 7.05, the cubic of four 5.07, 4.13, 3.35, 2.07 and
     # 6.08 (912 iterations); the better of the cubic and the quartic fit of seven takes 5.06, 4.13, 3.33, 1.11 and
-    # 5.13 (769)
+    # 5.13 (769); the blended step's Jacobian factor on grid values then took fd6 and Dirichlet to 4.21 and 4.05
+    # it/step cold, 4.03 and 3.15 warm
     "periodic-fd6-5-1": (
-        lambda: problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd6", N=400), 0.1, HBVMMethod(5, 1), 5.1
+        lambda: problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd6", N=400), 0.1, HBVMMethod(5, 1), 4.1
     ),
     "dirichlet-fd2-6-2": (
-        lambda: problems.sine_gordon_system(gamma=1.0, bc="dirichlet", scheme="fd2", N=400), 0.1, HBVMMethod(6, 2), 5.1
+        lambda: problems.sine_gordon_system(gamma=1.0, bc="dirichlet", scheme="fd2", N=400), 0.1, HBVMMethod(6, 2), 3.2
     ),
     "fourier-5-1": (
         lambda: problems.sine_gordon_system(gamma=1.0, scheme="fourier", N=400, m=800), 0.05, HBVMMethod(5, 1), 3.4
@@ -569,6 +582,38 @@ _WARM_CASES = {
     "nls-fd2-5-1": (lambda: problems.nls_system(N=64), 0.002, HBVMMethod(5, 1), 1.15),
     "nls-fd2-256-dx": (lambda: problems.nls_system(N=256), 2.0 * np.pi / 256, HBVMMethod(5, 1), 5.2),
 }
+
+
+class TestJacobianFactor:
+    """The blended solve on grid values scales each update by I + alpha (x) X^2, alpha the damped h^2 d accel/du."""
+
+    @pytest.mark.parametrize(
+        "scheme,N,h,steps,bound",
+        [
+            # without the factor 759 iterations; the factor takes 604
+            ("fd6", 400, 0.1, 150, 610),
+            # at h = 0.8 without the factor 956 and 955; the damped factor takes 895 and 904, and the
+            # undamped alpha = h^2 a, which leaves the stiff modes the plain step's slowest rate, 958 and 974
+            ("fd2", 200, 0.8, 60, 956),
+            ("fd6", 400, 0.8, 60, 955),
+        ],
+    )
+    def test_factor_cuts_the_iterations(self, scheme, N, h, steps, bound):
+        system, y0 = problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme=scheme, N=N)
+        rec = integrate(system, y0, h, steps, HBVMMethod(5, 1), record_stride=0)
+        assert rec.mode == "blended"
+        assert rec.iterations.sum() <= bound
+        assert np.max(np.abs(rec.drift)) <= 1e-7
+
+    @pytest.mark.parametrize("scheme,probes", [("fd6", 1), ("fourier", 0)])
+    def test_one_probe_per_solve_on_grid_values(self, scheme, probes):
+        # one accel call on two rows takes the derivative; the Fourier
+        # coefficients are not grid values and get no factor
+        build = dict(fd6=dict(scheme="fd6", N=64), fourier=dict(scheme="fourier", N=16, m=40))[scheme]
+        system, y0 = problems.sine_gordon_system(gamma=1.0, **build)
+        system, calls = _counting(system)
+        _, diag = step(system, y0, 0.1, HBVMMethod(6, 2), SolverConfig(mode="blended"))
+        assert len(calls) == diag.iterations + probes
 
 
 class TestWarmStart:
@@ -918,12 +963,13 @@ class TestIntegrate:
         assert np.max(np.abs(rec.drift)) <= 1e-13
 
     def test_default_tol_gives_data_independent_iteration_counts(self):
-        # on periodic fd6 N=400 at h = 0.1 the fifth update changes the output
-        # by 3e-15 .. 2e-12 (median 2e-14), the sixth on 95% of the steps by
-        # less than 2e-15; a default tol inside the fifth band (1e-14) let a
-        # 1% change of gamma move a third of the steps from five iterations
-        # to six.  The same holds for a 1% change of the NLS amplitude on the
-        # warm-started exact stiff step
+        # on periodic fd6 N=400 at h = 0.1 the third update changes the output
+        # by 2e-14 .. 2e-10 (median 4e-14), the fourth on 97% of the steps by
+        # less than 2e-15; before the blended step's Jacobian factor these were
+        # the fifth and sixth, and a default tol inside the fifth band (1e-14)
+        # let a 1% change of gamma move a third of the steps from five
+        # iterations to six.  The same holds for a 1% change of the NLS
+        # amplitude on the warm-started exact stiff step
         cases = [
             (lambda gamma: problems.sine_gordon_system(gamma=gamma, scheme="fd6", N=400), 0.1),
             (lambda amplitude: problems.nls_system(N=64, amplitude=amplitude), 0.002),
