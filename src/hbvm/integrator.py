@@ -34,6 +34,9 @@ A Stepper builds what does not depend on the state once per run; step()
 reuses the last Stepper it built while its arguments stay the same.  In
 blended mode, which solves the stiff part exactly, a Stepper warm-starts
 each solve of a chain of steps from the better of two predictors (see Stepper).
+On Fourier coefficients at s = 1 one of them follows each mode's rotation
+under the midpoint rule, which is HBVM(k,1) on the linear part, at the angle
+read off the blended solve's diagonal preconditioner.
 """
 
 from __future__ import annotations
@@ -249,7 +252,8 @@ def _iterate(target, start, y0, h, cfg: SolverConfig, mode: str, n: int, correct
 # ---------------------------------------------------------------------------
 
 def _separable_solver(system, h, tab, cfg, mode):
-    """solve(y0, start) -> (coeffs, diagnostics, y1), y1 the step's output.
+    """(solve, rotation): solve(y0, start) -> (coeffs, diagnostics, y1), y1 the step's output, and the
+    warm start's beta = 4P - 2 on modal unknowns at s = 1 in blended mode, else None (see Stepper).
 
     The stage positions are Q = Q0 + h^2 W c with Q0_i = q0 + c_i h p0 and
     W = stage_weights, and B = weighted_basis has B W = X^2.  So the
@@ -289,9 +293,12 @@ def _separable_solver(system, h, tab, cfg, mode):
     from_grid = sep.from_grid or (lambda rows: rows)
     lin = sep.linear_operator or (lambda rows: 0.0)
     xs2 = tab.integration_matrix @ tab.integration_matrix
+    rotation = None
     if mode == "blended":
         precondition = sep.make_preconditioner(h * h * xs2)
         xs2_norm = np.abs(xs2).sum(axis=1).max()
+        if sep.to_grid is not None and len(xs2) == 1:  # P diagonal: the midpoint rule turns unknown j by theta_j
+            rotation = 4.0 * precondition(np.ones((1, nq)))[0] - 2.0
     lift = np.stack([np.ones_like(tab.nodes), h * tab.nodes], axis=1)
     lift_basis = np.dot(tab.weighted_basis, lift)
 
@@ -349,7 +356,7 @@ def _separable_solver(system, h, tab, cfg, mode):
             y1[2 * nq + 1] = y0[2 * nq + 1] + h * float(np.dot(tab.weights, rate(stage_q)))
         return coeffs, diag, y1
 
-    return solve
+    return solve, rotation
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +364,7 @@ def _separable_solver(system, h, tab, cfg, mode):
 # ---------------------------------------------------------------------------
 
 def _generic_solver(system, h, tab, cfg, mode):
-    """solve(y0, start) -> (coeffs, diagnostics, y1) for a non-separable system.
+    """(solve, None): solve(y0, start) -> (coeffs, diagnostics, y1) for a non-separable system.
 
     The stage states are Y = y0 + h N c (N = node_integrals) and B N = X,
     B 1 = e_0 (B = weighted_basis).  So for ydot = g(y) - L y the fixed-point
@@ -386,7 +393,7 @@ def _generic_solver(system, h, tab, cfg, mode):
         coeffs, diag = _iterate(target, start, y0, h, cfg, mode, system.skew.n)
         return coeffs, diag, y0 + h * coeffs[0]
 
-    return solve
+    return solve, None
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +424,23 @@ _KEEP = 7
 _QUARTIC_FITS = {6: np.array([5, -19, 20, 10, -35, 25]) / 6, 7: np.array([5, -15, 7, 15, -5, -25, 25]) / 7}
 _STARTS = [np.array([[0.0] * (m - min(m, 4)) + _through(min(m, 4)), _QUARTIC_FITS.get(m, _through(m))])
            for m in range(_KEEP + 1)]
+# the extrapolant (E^2 - beta E + 1)(E - 1)^5 annihilates is U c + beta (V c); stacked with the quartic fit
+_ROTATION_STARTS = np.array([[1, -5, 11, -15, 15, -11, 5], _QUARTIC_FITS[7], [0, -1, 5, -10, 10, -5, 1]])
 
 
-def _warm_starts(blocks: np.ndarray) -> np.ndarray:
+def _warm_starts(blocks: np.ndarray, rotation: Optional[np.ndarray] = None) -> np.ndarray:
     """The two starts from the last m <= 7 steps' coefficients, flattened and stacked oldest first, in one product:
     row 0 the polynomial through the last min(m, 4), zero for m = 0, then c_n, 2 c_n - c_n-1, the quadratic and the
     cubic 4 c_n - 6 c_n-1 + 4 c_n-2 - c_n-3; row 1 the least-squares polynomial of degree min(m, 5) - 1 through all m:
-    the interpolant up to five blocks, then the quartic fits, whose exact weights are sixths and sevenths."""
-    return np.dot(_STARTS[len(blocks)], blocks)
+    the interpolant up to five blocks, then the quartic fits, whose exact weights are sixths and sevenths.  Given
+    rotation, beta = 2 cos theta per unknown, row 0 of a full chain is the next block of any series
+    p(n) + A cos n theta + B sin n theta with deg p <= 4: the sextic through all seven where beta = 2."""
+    if rotation is None or len(blocks) < _KEEP:
+        return np.dot(_STARTS[len(blocks)], blocks)
+    starts = np.dot(_ROTATION_STARTS, blocks)
+    starts[2] *= rotation
+    starts[0] += starts[2]
+    return starts[:2]
 
 
 class Stepper:
@@ -444,11 +460,31 @@ class Stepper:
     max norm.  The fit wins at small h (NLS N=64, h = 0.002: 1.11 it/step,
     2.07 from the cubic).  The cubic stays for large h, where a fixed quartic
     or least-squares start raised the counts and, like a start of degree 0
-    or 1, let them flip under a 1% change of the data.  The start changes
-    the iteration count, not what the step accepts.  The fixed point always
-    starts from zero: it leaves stiff modes uncontracted, a warm start
-    carries them from step to step, and they grow.  The chain is state, so
-    threads should not share a blended Stepper.
+    or 1, let them flip under a 1% change of the data.
+
+    On modal unknowns (to_grid set: Fourier) at s = 1 the first start of a
+    full chain is not the cubic.  There P = make_preconditioner(h^2 X^2) is
+    diagonal, and on the linear part HBVM(k,1) is the midpoint rule, which
+    turns unknown j by theta_j per step, 2 cos theta_j = beta_j = 4 P_j - 2.
+    beta is taken once per run, and the start is the extrapolant that
+    (E^2 - beta E + 1)(E - 1)^5 annihilates, U c + beta (V c) over the
+    seven blocks: exact for a linear wave plus a quartic trend, the sextic
+    where P = 1.  The warm-start error of the sine-Gordon runs sits in the
+    middle modes, and following their rotation takes sg-fourier from 3.33 to
+    2.67 it/step (beta = 2, the sextic, 3.19).  Seven blocks are what the
+    rotation and a quartic need; (E - 1)^2, ^3 and ^4 in place of (E - 1)^5
+    take 3.33, 3.31 and 3.24.  On grid values P is diagonal only on the
+    Fourier modes, and beta would cost a transform pair per step: periodic
+    fd6 fell from 604 to 480 iterations, but its slowest steps, the
+    four-iteration steps of the transient, took 5-12% longer, and the step
+    where the counts fall to three moved under a 1% change of gamma.  At
+    s >= 2 P's blocks are s x s, not one angle per unknown, and NLS, first
+    order, would need E - (2P - I) and a complex transform pair.  Those
+    keep the cubic.  The start changes the iteration count, not what the
+    step accepts.  The fixed point always starts from zero: it leaves stiff
+    modes uncontracted, a warm start carries them from step to step, and
+    they grow.  The chain is state, so threads should not share a blended
+    Stepper.
     """
 
     def __init__(self, system: SemiDiscreteSystem, h: float, method: HBVMMethod, cfg: SolverConfig = SolverConfig()):
@@ -459,7 +495,7 @@ class Stepper:
         sep = system.separable
         self.system, self.h, self.method, self.cfg = system, h, method, cfg
         build = _separable_solver if sep is not None else _generic_solver
-        self._solve = build(system, h, method.tables, cfg, mode)
+        self._solve, self._rotation = build(system, h, method.tables, cfg, mode)
         self._shape = (method.s, sep.nq if sep is not None else system.dim)
         # the chain ending at _last: its last _length <= _keep steps' coefficients, flattened; rows i and i + 7
         # hold the same block, so the _length rows before _next + 7 are the chain oldest first; blended keeps 7
@@ -472,11 +508,11 @@ class Stepper:
         if not (self._length and (y0 == self._last).all()):  # same shape, finite: no NaN to compare
             self._length, self._fit = 0, False
         m, top = self._length, self._next + _KEEP
-        starts = _warm_starts(self._chain[top - m : top])
+        starts = _warm_starts(self._chain[top - m : top], self._rotation)
         coeffs, diag, y1 = self._solve(y0, starts[int(self._fit)].reshape(self._shape))
         if m >= _KEEP - 1:  # the next step, on a full chain, starts from whichever start came closer to this one
-            cubic_error, fit_error = np.abs(starts - coeffs.ravel()).max(axis=1)
-            self._fit = bool(fit_error < cubic_error)
+            first_error, fit_error = np.abs(starts - coeffs.ravel()).max(axis=1)
+            self._fit = bool(fit_error < first_error)
         self._chain[self._next] = self._chain[top] = coeffs.ravel()
         self._next, self._length = (self._next + 1) % _KEEP, min(m + 1, self._keep)
         self._last = y1.copy()  # the caller may change y1 in place

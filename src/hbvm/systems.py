@@ -98,6 +98,7 @@ class SeparableForm:
     from_grid are the linear maps between the rows of q and grid values
     (Fourier synthesis and trapezoidal analysis); ``None`` means the
     identity, as for finite differences, whose unknowns are the grid values.
+    With to_grid set, L and the preconditioner are diagonal in the unknowns.
     make_preconditioner(shift) returns an exact solver of (I + shift (x) L)
     c = r on s coefficient rows for an s x s shift (h^2 X^2), leaving r
     untouched (shifted_solver, or a band LU for Dirichlet and Neumann).

@@ -24,6 +24,7 @@ from hbvm.integrator import (
 )
 from hbvm.legendre import gauss_rule
 from hbvm.systems import SeparableForm, hamiltonian_drift, separable_system, shifted_solver
+from hbvm.wave_fourier import build_fourier
 
 
 class TestStepBasics:
@@ -569,7 +570,7 @@ _WARM_CASES = {
     # start of three steps took 5.08, 4.17, 4.07, 3.04 and 7.05, the cubic of four 5.07, 4.13, 3.35, 2.07 and
     # 6.08 (912 iterations); the better of the cubic and the quartic fit of seven takes 5.06, 4.13, 3.33, 1.11 and
     # 5.13 (769); the blended step's Jacobian factor on grid values then took fd6 and Dirichlet to 4.21 and 4.05
-    # it/step cold, 4.03 and 3.15 warm
+    # it/step cold, 4.03 and 3.15 warm; the rotation start took Fourier to 2.67 (see TestRotationStart)
     "periodic-fd6-5-1": (
         lambda: problems.sine_gordon_system(gamma=1.0, bc="periodic", scheme="fd6", N=400), 0.1, HBVMMethod(5, 1), 4.1
     ),
@@ -716,6 +717,50 @@ class TestWarmStart:
         rec = integrate(system, y0, 5e-4, 20, HBVMMethod(6, 2), SolverConfig(mode="fixed-point"), record_stride=0)
         assert rec.mode == "fixed-point"
         np.testing.assert_array_equal(rec.iterations, 5)
+
+
+class TestRotationStart:
+    """Fourier HBVM(k,1) blended chains start from the extrapolant (E^2 - beta E + 1)(E - 1)^5 annihilates,
+    beta = 4P - 2 = 2 cos theta per mode, P the blended solve's preconditioner (the midpoint rule's rotation)."""
+
+    def test_linear_wave_steps_in_one_iteration(self):
+        # with f = 0 HBVM(5,1) is the midpoint rule, and each mode's coefficients
+        # turn by exactly theta per step: from the ninth step (row 0 on a full
+        # chain beat the fit on the eighth) the start is the solution; the cubic
+        # or quartic start, or beta = 2 (the sextic), take two on every step
+        zero = lambda u: 0.0 * u  # noqa: E731
+        system = build_fourier(32, 64, problems.DEFAULT_DOMAIN, zero, zero, lambda x: np.exp(-x * x), zero)
+        rec = integrate(system, system.descriptor["y0"], 0.05, 60, HBVMMethod(5, 1), record_stride=0)
+        assert rec.mode == "blended"
+        np.testing.assert_array_equal(rec.iterations[8:], 1)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        degree=st.integers(0, 4),
+        width=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        origin=st.integers(-50, 50),
+    )
+    def test_start_continues_a_rotation_plus_a_quartic(self, degree, width, seed, origin):
+        # c_n = p(n) + A cos n theta + B sin n theta per unknown, deg p <= 4,
+        # rotation = 2 cos theta: row 0 of a full chain is c_7; the fit is unchanged
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0.0, np.pi, width)
+        poly, a, b = rng.standard_normal((degree + 1, width)), rng.standard_normal(width), rng.standard_normal(width)
+        n = origin + np.arange(8.0)[:, None]
+        blocks = (n ** np.arange(degree + 1)[:, None, None] * poly[:, None]).sum(axis=0)
+        blocks += a * np.cos(n * theta) + b * np.sin(n * theta)
+        starts = _warm_starts(blocks[:7], 2.0 * np.cos(theta))
+        assert np.max(np.abs(starts[0] - blocks[7])) <= 1e-12 * max(1.0, np.max(np.abs(blocks)))
+        np.testing.assert_array_equal(starts[1], _warm_starts(blocks[:7])[1])
+
+    def test_sine_gordon_fourier_iterations(self):
+        # N=400 m=800 h = 0.05, the sg-fourier workload's run: 500 iterations
+        # from the better of the cubic and the quartic fit, 479 with beta = 2, 400
+        system, y0 = problems.sine_gordon_system(gamma=1.0, scheme="fourier", N=400, m=800)
+        rec = integrate(system, y0, 0.05, 150, HBVMMethod(5, 1), record_stride=0)
+        assert rec.iterations.sum() <= 410
+        assert np.max(np.abs(rec.drift)) <= 1e-12
 
 
 _REVERSIBLE_SYSTEMS = {
