@@ -34,9 +34,10 @@ A Stepper builds what does not depend on the state once per run; step()
 reuses the last Stepper it built while its arguments stay the same.  In
 blended mode, which solves the stiff part exactly, a Stepper warm-starts
 each solve of a chain of steps from the better of two predictors (see Stepper).
-On Fourier coefficients at s = 1 one of them follows each mode's rotation
-under the midpoint rule, which is HBVM(k,1) on the linear part, at the angle
-read off the blended solve's diagonal preconditioner.
+On Fourier coefficients one of them follows each mode's rotation under the
+linear step, the s-stage Gauss method, whose determinant is 1: by
+Cayley-Hamilton its coefficient rows obey c_n+2 - beta c_n+1 + c_n = 0, with
+beta the step's trace, read once per run off the solver's own linear step.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def _iterate(target, start, y0, h, cfg: SolverConfig, mode: str, n: int, correct
 
 def _separable_solver(system, h, tab, cfg, mode):
     """(solve, rotation): solve(y0, start) -> (coeffs, diagnostics, y1), y1 the step's output, and the
-    warm start's beta = 4P - 2 on modal unknowns at s = 1 in blended mode, else None (see Stepper).
+    warm start's beta on modal unknowns in blended mode, else None (see Stepper).
 
     The stage positions are Q = Q0 + h^2 W c with Q0_i = q0 + c_i h p0 and
     W = stage_weights, and B = weighted_basis has B W = X^2.  So the
@@ -286,6 +287,9 @@ def _separable_solver(system, h, tab, cfg, mode):
     invertible, so the fixed point and the accepted equations are unchanged.
     On Fourier coefficients the Jacobian is not diagonal, and applying it
     would cost two transforms per iteration, so they iterate without it.
+    With accel = 0 the blended update solves the step at once, c = P(-L B Q0):
+    on modal unknowns (L, P diagonal) a 2 x 2 map per unknown, whose trace
+    beta is q1 from (q0, p0) = (1, 0) plus p1 from (0, 1) (at s = 1, 4P - 2).
     """
     sep = system.separable
     nq = sep.nq
@@ -293,14 +297,15 @@ def _separable_solver(system, h, tab, cfg, mode):
     from_grid = sep.from_grid or (lambda rows: rows)
     lin = sep.linear_operator or (lambda rows: 0.0)
     xs2 = tab.integration_matrix @ tab.integration_matrix
+    lift = np.stack([np.ones_like(tab.nodes), h * tab.nodes], axis=1)
+    lift_basis = np.dot(tab.weighted_basis, lift)
     rotation = None
     if mode == "blended":
         precondition = sep.make_preconditioner(h * h * xs2)
         xs2_norm = np.abs(xs2).sum(axis=1).max()
-        if sep.to_grid is not None and len(xs2) == 1:  # P diagonal: the midpoint rule turns unknown j by theta_j
-            rotation = 4.0 * precondition(np.ones((1, nq)))[0] - 2.0
-    lift = np.stack([np.ones_like(tab.nodes), h * tab.nodes], axis=1)
-    lift_basis = np.dot(tab.weighted_basis, lift)
+        if sep.to_grid is not None:  # beta per unknown, tiled over the s rows of a flattened block
+            from_q, from_p = (precondition(-lin(np.dot(lift_basis, qp))) for qp in np.eye(2)[..., None] * np.ones(nq))
+            rotation = np.tile(2.0 + h * h * np.dot(tab.integration_matrix[0], from_q) + h * from_p[0], len(xs2))
 
     def solve(y0, start):
         q0, p0 = qp0 = y0[: 2 * nq].reshape(2, nq)
@@ -420,21 +425,23 @@ def _through(m: int) -> list:
     return [(-1.0) ** (m - i + 1) * math.comb(m, i) for i in range(m)]
 
 
-_KEEP = 7
+_KEEP = 9
 _QUARTIC_FITS = {6: np.array([5, -19, 20, 10, -35, 25]) / 6, 7: np.array([5, -15, 7, 15, -5, -25, 25]) / 7}
-_STARTS = [np.array([[0.0] * (m - min(m, 4)) + _through(min(m, 4)), _QUARTIC_FITS.get(m, _through(m))])
+_STARTS = [np.array([[0.0] * (m - min(m, 4)) + _through(min(m, 4)),
+                     [0.0] * (m - min(m, 7)) + list(_QUARTIC_FITS.get(min(m, 7), _through(m)))])
            for m in range(_KEEP + 1)]
-# the extrapolant (E^2 - beta E + 1)(E - 1)^5 annihilates is U c + beta (V c); stacked with the quartic fit
-_ROTATION_STARTS = np.array([[1, -5, 11, -15, 15, -11, 5], _QUARTIC_FITS[7], [0, -1, 5, -10, 10, -5, 1]])
+# the extrapolant (E^2 - beta E + 1)(E - 1)^7 annihilates is U c + beta (V c); stacked with the quartic fit
+_ROTATION_STARTS = np.array([[1, -7, 22, -42, 56, -56, 42, -22, 7], _STARTS[_KEEP][1],
+                             [0, -1, 7, -21, 35, -35, 21, -7, 1]])
 
 
 def _warm_starts(blocks: np.ndarray, rotation: Optional[np.ndarray] = None) -> np.ndarray:
-    """The two starts from the last m <= 7 steps' coefficients, flattened and stacked oldest first, in one product:
+    """The two starts from the last m <= 9 steps' coefficients, flattened and stacked oldest first, in one product:
     row 0 the polynomial through the last min(m, 4), zero for m = 0, then c_n, 2 c_n - c_n-1, the quadratic and the
-    cubic 4 c_n - 6 c_n-1 + 4 c_n-2 - c_n-3; row 1 the least-squares polynomial of degree min(m, 5) - 1 through all m:
-    the interpolant up to five blocks, then the quartic fits, whose exact weights are sixths and sevenths.  Given
-    rotation, beta = 2 cos theta per unknown, row 0 of a full chain is the next block of any series
-    p(n) + A cos n theta + B sin n theta with deg p <= 4: the sextic through all seven where beta = 2."""
+    cubic 4 c_n - 6 c_n-1 + 4 c_n-2 - c_n-3; row 1 the least-squares polynomial of degree min(m, 5) - 1 through the
+    last min(m, 7): the interpolant up to five blocks, then the quartic fits, whose exact weights are sixths and
+    sevenths.  Given rotation, beta = 2 cos theta per unknown, row 0 of a full chain is the next block of any series
+    p(n) + A cos n theta + B sin n theta with deg p <= 6: the octic through all nine where beta = 2."""
     if rotation is None or len(blocks) < _KEEP:
         return np.dot(_STARTS[len(blocks)], blocks)
     starts = np.dot(_ROTATION_STARTS, blocks)
@@ -452,39 +459,42 @@ class Stepper:
     on a semilinear system).  A call does only the work that depends on y0.
 
     In blended mode a call from the state the Stepper last returned
-    continues its chain, the coefficients of up to seven steps; any other y0
+    continues its chain, the coefficients of up to nine steps; any other y0
     starts a new one, from zero.  Each solve starts from one of two
     predictors formed in one product (_warm_starts): the cubic through the
-    last four blocks, or, on a full chain, the least-squares quartic through
-    all seven if that one predicted the previous step strictly better in the
-    max norm.  The fit wins at small h (NLS N=64, h = 0.002: 1.11 it/step,
-    2.07 from the cubic).  The cubic stays for large h, where a fixed quartic
+    last four blocks, or, from seven blocks on, the least-squares quartic
+    through the last seven if that one predicted the previous step strictly
+    better in the max norm.  The fit wins at small h (NLS N=64, h = 0.002:
+    1.11 it/step, 2.07 from the cubic).  The cubic stays for large h, where a fixed quartic
     or least-squares start raised the counts and, like a start of degree 0
     or 1, let them flip under a 1% change of the data.
 
-    On modal unknowns (to_grid set: Fourier) at s = 1 the first start of a
-    full chain is not the cubic.  There P = make_preconditioner(h^2 X^2) is
-    diagonal, and on the linear part HBVM(k,1) is the midpoint rule, which
-    turns unknown j by theta_j per step, 2 cos theta_j = beta_j = 4 P_j - 2.
-    beta is taken once per run, and the start is the extrapolant that
-    (E^2 - beta E + 1)(E - 1)^5 annihilates, U c + beta (V c) over the
-    seven blocks: exact for a linear wave plus a quartic trend, the sextic
-    where P = 1.  The warm-start error of the sine-Gordon runs sits in the
-    middle modes, and following their rotation takes sg-fourier from 3.33 to
-    2.67 it/step (beta = 2, the sextic, 3.19).  Seven blocks are what the
-    rotation and a quartic need; (E - 1)^2, ^3 and ^4 in place of (E - 1)^5
-    take 3.33, 3.31 and 3.24.  On grid values P is diagonal only on the
-    Fourier modes, and beta would cost a transform pair per step: periodic
-    fd6 fell from 604 to 480 iterations, but its slowest steps, the
-    four-iteration steps of the transient, took 5-12% longer, and the step
-    where the counts fall to three moved under a 1% change of gamma.  At
-    s >= 2 P's blocks are s x s, not one angle per unknown, and NLS, first
-    order, would need E - (2P - I) and a complex transform pair.  Those
-    keep the cubic.  The start changes the iteration count, not what the
-    step accepts.  The fixed point always starts from zero: it leaves stiff
-    modes uncontracted, a warm start carries them from step to step, and
-    they grow.  The chain is state, so threads should not share a blended
-    Stepper.
+    On modal unknowns (to_grid set: Fourier) the first start of a full
+    chain is not the cubic.  There L and P are diagonal, and on the linear
+    part HBVM(k,s), the s-stage Gauss method, maps each unknown's (q, p) by
+    a 2 x 2 matrix of determinant 1 and trace beta_j = 2 cos theta_j.  The
+    coefficients are linear in (q, p), so by Cayley-Hamilton each row obeys
+    c_n+2 - beta_j c_n+1 + c_n = 0 at every s.  beta is read once per run
+    off the solver's linear step, and the start is the extrapolant that
+    (E^2 - beta E + 1)(E - 1)^7 annihilates, U c + beta (V c) over nine
+    blocks: exact for a linear wave plus a sextic trend, the octic where
+    beta = 2.  The warm-start error of the sine-Gordon runs sits in the
+    middle modes: following their rotation takes sg-fourier from 3.33 to
+    2.44 it/step, and a linear wave to one iteration from the eleventh step.
+    (E - 1)^5 to ^9 over 7 to 11 blocks take sg-fourier 400, 374, 366, 356
+    and 353 iterations, but from ten blocks the rounding that U and V's
+    larger weights gain makes a linear wave relapse to two on some steps.
+    The fit still starts at seven blocks; at nine, nls-fd2 rose from 167 to
+    169.  On grid values P is diagonal only on the Fourier modes, and beta
+    would cost a transform pair per step: periodic fd6 fell from 604 to 480
+    iterations, but its slowest steps, the four-iteration steps of the
+    transient, took 5-12% longer, and the step where the counts fall to
+    three moved under a 1% change of gamma.  NLS, first order, would need
+    E - (2P - I) and a complex transform pair.  Those keep the cubic.  The
+    start changes the iteration count, not what the step accepts.  The fixed
+    point always starts from zero: it leaves stiff modes uncontracted, a warm
+    start carries them from step to step, and they grow.  The chain is state,
+    so threads should not share a blended Stepper.
     """
 
     def __init__(self, system: SemiDiscreteSystem, h: float, method: HBVMMethod, cfg: SolverConfig = SolverConfig()):
@@ -497,8 +507,8 @@ class Stepper:
         build = _separable_solver if sep is not None else _generic_solver
         self._solve, self._rotation = build(system, h, method.tables, cfg, mode)
         self._shape = (method.s, sep.nq if sep is not None else system.dim)
-        # the chain ending at _last: its last _length <= _keep steps' coefficients, flattened; rows i and i + 7
-        # hold the same block, so the _length rows before _next + 7 are the chain oldest first; blended keeps 7
+        # the chain ending at _last: its last _length <= _keep steps' coefficients, flattened; rows i and i + 9
+        # hold the same block, so the _length rows before _next + 9 are the chain oldest first; blended keeps 9
         self._chain, self._keep = np.zeros((2 * _KEEP, math.prod(self._shape))), _KEEP if mode == "blended" else 0
         self._length, self._next, self._fit, self._last = 0, 0, False, None
 
@@ -510,7 +520,7 @@ class Stepper:
         m, top = self._length, self._next + _KEEP
         starts = _warm_starts(self._chain[top - m : top], self._rotation)
         coeffs, diag, y1 = self._solve(y0, starts[int(self._fit)].reshape(self._shape))
-        if m >= _KEEP - 1:  # the next step, on a full chain, starts from whichever start came closer to this one
+        if m >= 6:  # the next step, from seven blocks on, starts from whichever start came closer to this one
             first_error, fit_error = np.abs(starts - coeffs.ravel()).max(axis=1)
             self._fit = bool(fit_error < first_error)
         self._chain[self._next] = self._chain[top] = coeffs.ravel()

@@ -51,6 +51,7 @@ def _named_cases() -> dict:
         "fd4 (5,1) h=0.1": dict(scheme="fd4", h=0.1, steps=150),
         "fd4 (6,2) h=0.1": dict(scheme="fd4", k=6, s=2, h=0.1, steps=150),
         "fourier (5,1) h=0.05": dict(scheme="fourier", N=400, m=800, h=0.05, steps=150),
+        "fourier (6,2) h=0.05": dict(scheme="fourier", N=400, m=800, k=6, s=2, h=0.05, steps=150),
         "fourier N=100 (9,3) h=0.25": dict(scheme="fourier", N=100, m=200, k=9, s=3, h=0.25, steps=150),
         "fourier N=100 (5,1) h=0.003": dict(scheme="fourier", N=100, m=200, h=0.003, steps=2000),
         "nls (5,1) h=0.002": dict(problem="nls", N=64, h=0.002, steps=150),
