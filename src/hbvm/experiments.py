@@ -22,7 +22,6 @@ from . import problems
 from .comparators import composition_scheme, integrate_explicit
 from .integrator import HBVMMethod, SolverConfig, StepFailure, TrajectoryRecord, integrate
 from .legendre import check_count
-from .wave_fourier import _synthesis
 
 __all__ = [
     "ConfigError",
@@ -127,14 +126,11 @@ def parse_method(text: str):
 
 
 def _sampler(system):
-    """(values, grid): values(y) samples u from a state vector on grid
-    (reconstructed on the quadrature points for spectral runs)."""
-    if system.descriptor.get("scheme") == "fourier":
-        spec = system.descriptor["spectral"]
-        dim = spec.basis.dim
-        return (lambda y: _synthesis(spec, y[:dim])), spec.basis.points(spec.m)
-    n = system.skew.n
-    return (lambda y: y[:n]), system.descriptor["x"]
+    """values(y): u on descriptor['x'] from a state vector, through the form's to_grid when it has one."""
+    n, form = system.skew.n, system.separable
+    if form is not None and form.to_grid is not None:
+        return lambda y: form.to_grid(y[:n])
+    return lambda y: y[:n]
 
 
 def build_run(config: RunConfig):
@@ -162,7 +158,7 @@ def build_run(config: RunConfig):
         raise ConfigError(str(err)) from err
     sample = None
     if config.problem == "sine-gordon" and config.bc == "periodic":
-        grid = _sampler(system)[1]
+        grid = system.descriptor["x"]
         sample = lambda t: problems.sine_gordon_exact(config.gamma, grid, t)
     return system, y0, sample
 
@@ -170,10 +166,10 @@ def build_run(config: RunConfig):
 class _MaxError:
     """Observer keeping the max over steps and grid nodes of |u_num - u_exact|."""
 
-    def __init__(self, values, sample):
+    def __init__(self, system, sample):
         if sample is None:
             raise ConfigError("error studies need an analytic reference, which only periodic sine-gordon has")
-        self.values, self.sample = values, sample
+        self.values, self.sample = _sampler(system), sample
         self.worst = 0.0
 
     def __call__(self, n, t, y):
@@ -241,11 +237,10 @@ def run_solve(config: RunConfig):
         raise
     if config.out:
         write_csv(config.out + "_drift.csv", DRIFT_HEADER, drift_rows(system, record))
-        values, grid = _sampler(system)
-        columns = [values(state) for state in record.states]
+        values = _sampler(system)
+        columns = [system.descriptor["x"]] + [values(state) for state in record.states]
         header = ["x"] + [f"t={t:.9e}" for t in record.record_times]
-        rows = [[grid[i]] + [column[i] for column in columns] for i in range(grid.size)]
-        write_csv(config.out + "_solution.csv", header, rows)
+        write_csv(config.out + "_solution.csv", header, zip(*columns))
         summary = {
             "config": asdict(config),
             "method": config.method().name,
@@ -272,19 +267,19 @@ DRIFT_STUDY_HEADER = ["method", "time", "H_drift", "H_tilde_drift"]
 
 
 def run_drift(config: RunConfig, methods):
-    """Drift series of several methods on one system; long-format rows."""
+    """Drift series of several methods on one system; long-format rows.  The list is checked before any run."""
     if not methods:
         raise ConfigError("methods must name at least one method")
+    parsed = [(text.strip().lower(),) + parse_method(text) for text in methods]
     system, y0, _ = build_run(config)
+    if any(kind != "hbvm" for _, kind, _ in parsed) and (system.separable is None or system.augmented):
+        raise ConfigError("explicit baselines require a separable system without boundary forcing")
     rows = []
-    for text in methods:
-        kind, method = parse_method(text)
-        if kind != "hbvm" and (system.separable is None or system.augmented):
-            raise ConfigError("explicit baselines require a separable system without boundary forcing")
+    for name, kind, method in parsed:
         record = _trajectory(system, y0, config.h, config.steps, kind, method, config)
         _, ham_drift, _, aug_drift = _energy_columns(record)
         for n, t in enumerate(record.times):
-            rows.append((text.strip().lower(), t, ham_drift[n], None if aug_drift is None else aug_drift[n]))
+            rows.append((name, t, ham_drift[n], None if aug_drift is None else aug_drift[n]))
     if config.out:
         write_csv(config.out, DRIFT_STUDY_HEADER, rows)
     return rows
@@ -320,7 +315,7 @@ def run_convergence(config: RunConfig, levels, final_time: float = 40.0):
     for level in levels:
         cell = replace(config, N=level, out=None) if config.scheme != "fourier" else replace(config, out=None)
         system, y0, sample = build_run(cell)
-        observer = _MaxError(_sampler(system)[0], sample)
+        observer = _MaxError(system, sample)
         h = final_time / level
         integrate(system, y0, h, level, cell.method(), cell.solver_config(), record_stride=0, observer=observer)
         errors.append(observer.worst)
@@ -357,15 +352,15 @@ def run_work_precision(config: RunConfig, methods=None, final_time: float = 100.
         if unknown:
             raise ConfigError(f"no stepsize grid for methods {unknown}; known: {sorted(grid)}")
         grid = {m: grid[m] for m in wanted}
+    parsed = {name: parse_method(name) for name in grid}  # every method is checked before the first run
     system, y0, sample = build_run(replace(config, out=None))
-    values = _sampler(system)[0]
     rows = []
     for name, (h_max, h_min, points) in grid.items():
-        kind, method = parse_method(name)
+        kind, method = parsed[name]
         for h_target in np.geomspace(h_max, h_min, points):
             n_steps = max(1, round(final_time / h_target))
             h = final_time / n_steps
-            observer = _MaxError(values, sample)
+            observer = _MaxError(system, sample)
             try:
                 record = _trajectory(system, y0, h, n_steps, kind, method, config, observer)
             except StepFailure:

@@ -135,27 +135,31 @@ def sine_gordon_system(
     """(system, y0) for the sine-Gordon problem under the requested discretization."""
     psi0, psi1 = sine_gordon_initial(gamma)
     if bc == "periodic":
-        return _periodic_wave(scheme, N, m, domain, sine_gordon_f, sine_gordon_fprime, psi0, psi1, "sine-gordon")
+        return _periodic_wave(scheme, N, m, domain, sine_gordon_f, sine_gordon_fprime, psi0, psi1)
     boundary = sine_gordon_boundary_data(gamma, bc, domain)
     if scheme != "fd2":
         raise ValueError(f"the {bc} boundary supports the fd2 scheme only, got {scheme!r}")
     builder = build_dirichlet if bc == "dirichlet" else build_neumann
-    system = builder(N, domain, sine_gordon_f, sine_gordon_fprime, boundary, name="sine-gordon")
-    x = system.descriptor["x"]
-    return system, np.concatenate([psi0(x), psi1(x), np.zeros(2)])
+    return _with_initial_state(builder(N, domain, sine_gordon_f, sine_gordon_fprime, boundary), psi0, psi1)
 
 
-def _periodic_wave(scheme, N, m, domain, f, fprime, psi0, psi1, name):
+def _periodic_wave(scheme, N, m, domain, f, fprime, psi0, psi1):
     """(system, y0) of a periodic wave problem: Fourier-Galerkin, or the fd2/fd4/fd6 stencil."""
     if scheme == "fourier":
-        system = build_fourier(N, m, domain, f, fprime, psi0, psi1, name=name)
-        return system, system.descriptor["y0"].copy()
+        return _with_initial_state(build_fourier(N, m, domain, f, fprime), psi0, psi1)
     order = {"fd2": 2, "fd4": 4, "fd6": 6}.get(scheme)
     if order is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    system = build_periodic(N, order, domain, f, fprime, name=name)
-    x = system.descriptor["x"]
-    return system, np.concatenate([psi0(x), psi1(x)])
+    return _with_initial_state(build_periodic(N, order, domain, f, fprime), psi0, psi1)
+
+
+def _with_initial_state(system: SemiDiscreteSystem, psi0, psi1):
+    """(system, y0): (psi0, psi1) on descriptor['x'] through from_grid, then a forced system's time pair (0, 0)."""
+    x, form = system.descriptor["x"], system.separable
+    values = np.stack([psi0(x), psi1(x)])
+    y0 = np.zeros(system.dim)
+    y0[: 2 * form.nq] = (values if form.from_grid is None else form.from_grid(values)).ravel()
+    return system, y0
 
 
 def quartic_wave_f(u):
@@ -175,7 +179,7 @@ def quartic_wave_system(N: int = 32, scheme: str = "fd2", m: int = 80, domain=(0
     def psi1(x):
         return 0.5 * np.cos(2.0 * np.pi * (np.asarray(x) - domain[0]) / (domain[1] - domain[0]))
 
-    return _periodic_wave(scheme, N, m, domain, quartic_wave_f, quartic_wave_fprime, psi0, psi1, "quartic-wave")
+    return _periodic_wave(scheme, N, m, domain, quartic_wave_f, quartic_wave_fprime, psi0, psi1)
 
 
 def build_nls_periodic(N: int, domain, kappa: float) -> SemiDiscreteSystem:
@@ -247,7 +251,7 @@ def build_nls_periodic(N: int, domain, kappa: float) -> SemiDiscreteSystem:
         skew=SkewStructure(n=N, scale=1.0 / dx),
         hamiltonian=hamiltonian,
         gradient=gradient,
-        descriptor={"name": "nls", "bc": "periodic", "domain": (a, b), "x": x, "dx": dx, "kappa": kappa},
+        descriptor={"domain": (a, b), "x": x, "dx": dx, "kappa": kappa},
         semilinear=form,
     )
 
@@ -279,7 +283,7 @@ def _oscillator(hamiltonian, accel, linear=None):
     if linear is not None:
         hooks = {"linear_operator": partial(np.multiply, linear),
                  "make_preconditioner": partial(shifted_solver, eigenvalues=[linear])}
-    return separable_system(SeparableForm(nq=1, accel=accel, **hooks), 1.0, hamiltonian, {"name": "oscillator"})
+    return separable_system(SeparableForm(nq=1, accel=accel, **hooks), 1.0, hamiltonian, {})
 
 
 def harmonic_oscillator(omega: float = 1.0) -> SemiDiscreteSystem:

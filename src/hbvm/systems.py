@@ -154,6 +154,8 @@ class SemiDiscreteSystem:
     augmented Ht = H + pt, pt being the last slot of the state.  The state
     length ``dim`` is the skew structure's.  At most one of ``separable``
     and ``semilinear`` is set: the stiff-linear form the solvers use.
+    A wave system's ``descriptor["x"]`` is the grid of to_grid's values: data
+    sampled there enters through from_grid, and solution samples are to_grid(q).
     """
 
     skew: SkewStructure

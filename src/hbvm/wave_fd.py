@@ -151,7 +151,7 @@ def _banded_solver(shift: np.ndarray, diag: np.ndarray):
     return solve
 
 
-def _stencil_system(op: StencilOperator, domain, x, name, hamiltonian, fprime, forcing=None):
+def _stencil_system(op: StencilOperator, domain, x, hamiltonian, fprime, forcing=None):
     """Separable system of the stencil T/dx^2 with the given energy and boundary forcing.
 
     linear_operator applies T/dx^2, and accel = -f'(u) is the rest of the
@@ -179,11 +179,10 @@ def _stencil_system(op: StencilOperator, domain, x, name, hamiltonian, fprime, f
     form = SeparableForm(
         nq=op.n, accel=accel, make_preconditioner=make_preconditioner, linear_operator=linear_operator, forcing=forcing
     )
-    descriptor = {"name": name, "bc": op.bc, "order": op.order, "domain": domain, "x": x, "dx": dx, "stencil": op}
-    return separable_system(form, 1.0 / dx, hamiltonian, descriptor)
+    return separable_system(form, 1.0 / dx, hamiltonian, {"domain": domain, "x": x, "dx": dx, "stencil": op})
 
 
-def build_periodic(N: int, order: int, domain, f, fprime, name: str = "wave") -> SemiDiscreteSystem:
+def build_periodic(N: int, order: int, domain, f, fprime) -> SemiDiscreteSystem:
     """Periodic semi-discretization of dim 2N on [a, b] with dx = (b-a)/N.
 
     H = dx [p.p/2 + q.Tq/(2 dx^2) + sum f(q)], pdot = -Tq/dx^2 - f'(q), with
@@ -200,10 +199,10 @@ def build_periodic(N: int, order: int, domain, f, fprime, name: str = "wave") ->
         terms = 0.5 * p * p + q * op.apply(q) / (2.0 * dx**2) + f(q)
         return dx * energy_sum(terms)
 
-    return _stencil_system(op, (a, b), x, name, hamiltonian, fprime)
+    return _stencil_system(op, (a, b), x, hamiltonian, fprime)
 
 
-def _augmented_system(N, domain, f, fprime, boundary, kind, name) -> SemiDiscreteSystem:
+def _augmented_system(N, domain, f, fprime, boundary, kind) -> SemiDiscreteSystem:
     """Boundary-forced system in augmented autonomous form (dim 2N+2).
 
     Interior nodes x_i = a + i dx, i = 1..N, dx = (b-a)/(N+1).  The forced
@@ -242,20 +241,20 @@ def _augmented_system(N, domain, f, fprime, boundary, kind, name) -> SemiDiscret
         return force, rate
 
     x = a + dx * np.arange(1, N + 1)
-    return _stencil_system(op, (a, b), x, name, hamiltonian, fprime, forcing)
+    return _stencil_system(op, (a, b), x, hamiltonian, fprime, forcing)
 
 
-def build_dirichlet(N: int, domain, f, fprime, boundary: BoundaryData, name: str = "wave") -> SemiDiscreteSystem:
+def build_dirichlet(N: int, domain, f, fprime, boundary: BoundaryData) -> SemiDiscreteSystem:
     """Dirichlet semi-discretization in augmented autonomous form (dim 2N+2).
 
     The boundary values g enter the end nodes' stencil rows: beta = -g/dx
     and c = |g|^2/(2 dx), so they force the momentum equation as g/dx^2
     (grid and energy as in _augmented_system).
     """
-    return _augmented_system(N, domain, f, fprime, boundary, "dirichlet", name)
+    return _augmented_system(N, domain, f, fprime, boundary, "dirichlet")
 
 
-def build_neumann(N: int, domain, f, fprime, boundary: BoundaryData, name: str = "wave") -> SemiDiscreteSystem:
+def build_neumann(N: int, domain, f, fprime, boundary: BoundaryData) -> SemiDiscreteSystem:
     """Neumann semi-discretization in augmented autonomous form (dim 2N+2).
 
     Ghost values u_0 = u_1 - phi_0 dx and u_{N+1} = u_N + phi_1 dx encode the
@@ -264,4 +263,4 @@ def build_neumann(N: int, domain, f, fprime, boundary: BoundaryData, name: str =
     the ghost edges' energy.  So H = E + phi_0 q_1 - phi_1 q_N, E being the
     ghost-cell energy (grid and energy as in _augmented_system).
     """
-    return _augmented_system(N, domain, f, fprime, boundary, "neumann", name)
+    return _augmented_system(N, domain, f, fprime, boundary, "neumann")

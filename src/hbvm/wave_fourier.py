@@ -167,12 +167,13 @@ def eval_solution(basis: FourierBasis, coefficients: np.ndarray, xs) -> np.ndarr
     return basis.evaluate_matrix(xs) @ np.asarray(coefficients, dtype=float)
 
 
-def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wave") -> SemiDiscreteSystem:
-    """Spectral system of dim 2(2N+1); initial coefficients in descriptor['y0'].
+def build_fourier(N: int, m: int, domain, f, fprime) -> SemiDiscreteSystem:
+    """Spectral system of dim 2(2N+1) on the grid descriptor['x'] = basis.points(m).
 
     H = p.p/2 + q.Dq/2 + (L/m) sum f(u(x_i)); pdot = -Dq - nonlinear_term(q),
-    with L = D, accel = -f'(u) on the m-point grid, and the synthesis and
-    analysis transforms as the grid maps.
+    with L = D, accel = -f'(u) on the grid, and the synthesis and analysis
+    as the grid maps: to_grid samples u on descriptor['x'], and from_grid
+    projects grid data (forces; initial data, as project_initial does).
     Requires m >= 2N: the quadrature then resolves all quadratic products
     except, at exactly m = 2N, the top sine mode, which samples to zero on
     the grid (its coefficient decouples linearly; harmless for spectrally
@@ -186,7 +187,6 @@ def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wa
     diag = basis.stiffness_diagonal()
     dim = basis.dim
     length = basis.length
-    q0, p0, e_n = project_initial(basis, m, psi0, psi1)
 
     def hamiltonian(y):
         q, p = y[..., :dim], y[..., dim:]
@@ -205,18 +205,4 @@ def build_fourier(N: int, m: int, domain, f, fprime, psi0, psi1, name: str = "wa
         nq=dim, accel=accel, linear_operator=linear_operator, to_grid=partial(_synthesis, spec),
         from_grid=partial(_analysis, spec), make_preconditioner=partial(shifted_solver, eigenvalues=diag),
     )
-    return separable_system(
-        form,
-        1.0,
-        hamiltonian,
-        {
-            "name": name,
-            "bc": "periodic",
-            "scheme": "fourier",
-            "domain": (a, b),
-            "m": m,
-            "spectral": spec,
-            "y0": np.concatenate([q0, p0]),
-            "e_N": e_n,
-        },
-    )
+    return separable_system(form, 1.0, hamiltonian, {"domain": (a, b), "x": basis.points(m), "m": m, "spectral": spec})

@@ -59,7 +59,7 @@ def test_criterion_1_periodic_drift_magnitudes():
 
 def test_criterion_2_fourier_projection_error():
     psi0, psi1 = problems.sine_gordon_initial(GAMMA)
-    system = build_fourier(100, 200, DOMAIN, problems.sine_gordon_f, problems.sine_gordon_fprime, psi0, psi1)
+    system = build_fourier(100, 200, DOMAIN, problems.sine_gordon_f, problems.sine_gordon_fprime)
     _, _, e_n = project_initial(system.descriptor["spectral"].basis, 4096, psi0, psi1)
     ok = 1.6e-12 <= e_n <= 1.6e-10
     report(2, "Fourier projection residual (N=100, m=200)", ok, f"e_N={e_n:.3e}, target ~1.6e-11")
@@ -176,7 +176,7 @@ def test_criterion_7_trapezoidal_exactness():
             q = rng.standard_normal(2 * n_modes + 1)
             reference = None
             for m in list(range(m_min, m_min + 6)) + [10 * m_min]:
-                system = build_fourier(n_modes, m, DOMAIN, lambda u: u, fprime, lambda x: 0 * x, lambda x: 0 * x)
+                system = build_fourier(n_modes, m, DOMAIN, lambda u: u, fprime)
                 val = nonlinear_term(system.descriptor["spectral"], q)
                 if reference is None:
                     reference = val

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from hbvm import experiments
 from hbvm.cli import main
 from hbvm.experiments import (
     ConfigError,
     RunConfig,
+    _sampler,
     build_run,
     parse_method,
     run_convergence,
@@ -15,6 +17,7 @@ from hbvm.experiments import (
     run_work_precision,
 )
 from hbvm.integrator import SolverConfig
+from hbvm.wave_fourier import eval_solution
 
 TINY = dict(problem="sine-gordon", N=40, k=3, s=1, h=0.1, steps=12, stride=4)
 
@@ -124,6 +127,14 @@ class TestRunSolve:
         assert first[0] == pytest.approx(-20.0)
         assert first[1] == pytest.approx(0.0, abs=1e-10)  # u(x, 0) = 0
 
+    def test_spectral_sampler_is_the_basis_expansion_on_the_grid(self, rng):
+        system, _, _ = build_run(RunConfig(problem="sine-gordon", scheme="fourier", N=16, m=40))
+        spec, x = system.descriptor["spectral"], system.descriptor["x"]
+        np.testing.assert_array_equal(x, spec.basis.points(40))
+        y = rng.standard_normal(system.dim)
+        expected = eval_solution(spec.basis, y[: spec.basis.dim], x)
+        np.testing.assert_allclose(_sampler(system)(y), expected, rtol=0, atol=1e-13)
+
 
 class TestRunDrift:
     def test_empty_methods_rejected(self, tmp_path):
@@ -148,6 +159,32 @@ class TestRunDrift:
         cfg = RunConfig(problem="nls", N=16, h=0.001, steps=2)
         with pytest.raises(ConfigError, match="separable"):
             run_drift(cfg, ["sv2"])
+
+
+_NLS = dict(problem="nls", N=16, h=0.001, steps=2)
+_ONE_H = (0.5, 0.5, 1)
+
+
+class TestInvalidMethodListsRunNothing:
+    @pytest.mark.parametrize("study, config, methods, message", [
+        pytest.param("drift", _NLS, ["hbvm(5,1)", "sv2"], "separable", id="drift-nls-sv2"),
+        pytest.param("drift", _NLS, ["hbvm(5,1)", "bogus"], "unknown method", id="drift-nls-bogus"),
+        pytest.param("drift", dict(TINY, bc="dirichlet"), ["hbvm(3,1)", "sv4"], "boundary", id="drift-dirichlet-sv4"),
+        pytest.param("wpd", TINY, {"hbvm(5,1)": _ONE_H, "hbvm(3,5)": _ONE_H}, "requires k >= s", id="wpd-k-below-s"),
+        pytest.param("wpd", TINY, {"sv2": _ONE_H, "rk4": _ONE_H}, "unknown method", id="wpd-rk4"),
+    ])
+    def test_rejected_before_the_first_integration(self, study, config, methods, message, monkeypatch):
+        # every method of the list is checked before any of them integrates: zero integrations
+        def integration(*args, **kwargs):
+            raise AssertionError("a method integrated before the list was checked")
+
+        for name in ("integrate", "integrate_explicit"):
+            monkeypatch.setattr(experiments, name, integration)
+        with pytest.raises(ConfigError, match=message):
+            if study == "drift":
+                run_drift(RunConfig(**config), methods)
+            else:
+                run_work_precision(RunConfig(**config), final_time=1.0, grid=methods)
 
 
 class TestRunConvergence:

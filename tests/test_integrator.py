@@ -729,9 +729,11 @@ class TestRotationStart:
         # step (row 0 on a full chain beat the fit on the tenth) the start is the solution.  The cubic or quartic
         # start took two on every step; ten blocks, (E - 1)^8, whose larger weights gain more rounding, relapse to two
         zero = lambda u: 0.0 * u  # noqa: E731
-        system = build_fourier(32, 64, problems.DEFAULT_DOMAIN, zero, zero, lambda x: np.exp(-x * x), zero)
+        system = build_fourier(32, 64, problems.DEFAULT_DOMAIN, zero, zero)
+        x = system.descriptor["x"]
+        y0 = system.separable.from_grid(np.stack([np.exp(-x * x), zero(x)])).ravel()
         for k, s in ((5, 1), (6, 2), (9, 3)):
-            rec = integrate(system, system.descriptor["y0"], 0.05, 200, HBVMMethod(k, s), record_stride=0)
+            rec = integrate(system, y0, 0.05, 200, HBVMMethod(k, s), record_stride=0)
             assert rec.mode == "blended"
             np.testing.assert_array_equal(rec.iterations[10:], 1, err_msg=f"HBVM({k},{s})")
 

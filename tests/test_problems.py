@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from hbvm import problems
 from hbvm.integrator import HBVMMethod, SolverConfig, integrate
 from hbvm.systems import energy_sum
 from hbvm.wave_fd import BoundaryData, StencilOperator, build_dirichlet, build_neumann, build_periodic
-from hbvm.wave_fourier import build_fourier
+from hbvm.wave_fourier import build_fourier, project_initial
 
 
 class TestExactSoliton:
@@ -213,6 +215,34 @@ class TestNLS:
         assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
 
 
+_QUARTIC_PHASE = lambda x: 2.0 * np.pi * (x - 0.0) / (2.0 * np.pi)  # quartic_wave_system's, on [0, 2 pi]
+_INITIAL_DATA = {
+    **{f"sine-gordon-{scheme}": (partial(problems.sine_gordon_system, scheme=scheme, N=40, m=96),
+                                 problems.sine_gordon_initial(1.0)) for scheme in ("fd2", "fd4", "fd6", "fourier")},
+    "sine-gordon-dirichlet": (partial(problems.sine_gordon_system, bc="dirichlet", N=40),
+                              problems.sine_gordon_initial(1.0)),
+    "quartic-wave-fourier": (partial(problems.quartic_wave_system, N=16, scheme="fourier", m=40),
+                             (lambda x: 0.5 * np.sin(_QUARTIC_PHASE(x)), lambda x: 0.5 * np.cos(_QUARTIC_PHASE(x)))),
+}
+
+
+class TestInitialStates:
+    @pytest.mark.parametrize("case", sorted(_INITIAL_DATA))
+    def test_grid_data_through_from_grid(self, case):
+        # y0 is (psi0, psi1) on descriptor['x'] through from_grid, bitwise: the grid values themselves for
+        # finite differences (plus the time pair (0, 0) when forced), project_initial's (q0, p0) for Fourier
+        build, (psi0, psi1) = _INITIAL_DATA[case]
+        system, y0 = build()
+        x = system.descriptor["x"]
+        if "spectral" in system.descriptor:
+            spec = system.descriptor["spectral"]
+            np.testing.assert_array_equal(x, spec.basis.points(spec.m))
+            expected = np.concatenate(project_initial(spec.basis, spec.m, psi0, psi1)[:2])
+        else:
+            expected = np.concatenate([psi0(x), psi1(x), np.zeros(2 if system.augmented else 0)])
+        np.testing.assert_array_equal(y0, expected)
+
+
 _ZERO = lambda u: np.zeros_like(u)
 _ZERO_TRACES = lambda t: (np.zeros((2,) + np.shape(t)),) * 2
 _BUILDERS = {
@@ -220,7 +250,7 @@ _BUILDERS = {
     "dirichlet": lambda domain: build_dirichlet(16, domain, _ZERO, _ZERO, BoundaryData("dirichlet", _ZERO_TRACES)),
     "neumann": lambda domain: build_neumann(16, domain, _ZERO, _ZERO, BoundaryData("neumann", _ZERO_TRACES)),
     "nls": lambda domain: problems.build_nls_periodic(16, domain, 1.0),
-    "fourier": lambda domain, N=4, m=16: build_fourier(N, m, domain, _ZERO, _ZERO, _ZERO, _ZERO),
+    "fourier": lambda domain, N=4, m=16: build_fourier(N, m, domain, _ZERO, _ZERO),
 }
 _BAD_INPUTS = [
     pytest.param(name, (a, b), {}, r"domain must have finite endpoints a < b, got \(", id=f"{name}-{a}-{b}")

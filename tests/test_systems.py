@@ -253,7 +253,7 @@ class TestShiftedSolver:
 def _fsum_energy(system, y):
     """The energy of a sine-Gordon or NLS system summed by math.fsum: a reference, exactly rounded per sum."""
     desc = system.descriptor
-    if desc["name"] == "nls":
+    if system.semilinear is not None:
         u, v = y.reshape(2, -1)
         dx = desc["dx"]
         op = StencilOperator(u.size, "periodic", 2, dx)
@@ -262,7 +262,7 @@ def _fsum_energy(system, y):
         return math.fsum(terms.tolist())
     n = system.separable.nq
     q, p = y[:n], y[n:]
-    if desc.get("scheme") == "fourier":
+    if "spectral" in desc:
         spec = desc["spectral"]
         u = system.separable.to_grid(q)
         kinetic = math.fsum((0.5 * p * p).tolist())
